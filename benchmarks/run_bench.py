@@ -4,8 +4,7 @@
 Runs the pytest-benchmark speed tests (``test_decoder_speed.py`` and
 ``test_session_speed.py``) in a subprocess, pulls out the timing
 statistics and the decoder's per-stage wall-clock split, and writes
-them to ``benchmarks/BENCH_decoder.json`` (plus a copy at the repo
-root, where release tooling picks it up) so successive runs can be
+them to ``benchmarks/BENCH_decoder.json`` so successive runs can be
 diffed::
 
     PYTHONPATH=src python benchmarks/run_bench.py
@@ -43,9 +42,6 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
 OUTPUT = BENCH_DIR / "BENCH_decoder.json"
-#: Root-level copy of the summary (same payload, easier for tooling
-#: that only checks out the repo top level).
-ROOT_OUTPUT = REPO_ROOT / "BENCH_decoder.json"
 SPEED_TESTS = [BENCH_DIR / "test_decoder_speed.py",
                BENCH_DIR / "test_session_speed.py"]
 
@@ -187,9 +183,7 @@ def main(argv: list | None = None) -> None:
         run_speed_benchmark(json_path)
         raw = json.loads(json_path.read_text())
     summary = summarize(raw)
-    payload = json.dumps(summary, indent=2) + "\n"
-    OUTPUT.write_text(payload)
-    ROOT_OUTPUT.write_text(payload)
+    OUTPUT.write_text(json.dumps(summary, indent=2) + "\n")
     for bench in summary["benchmarks"]:
         line = bench["name"]
         # Parametrized entries already carry the backend in the name.
@@ -212,7 +206,7 @@ def main(argv: list | None = None) -> None:
             fired = {name: count for name, count in stats.items()
                      if count}
             print(f"  fidelity: {fired}")
-    print(f"wrote {OUTPUT} and {ROOT_OUTPUT}")
+    print(f"wrote {OUTPUT}")
     if args.profile:
         profile_one_decode(backend=args.backend)
 

@@ -161,31 +161,46 @@ def _edge_peaks(magnitude: np.ndarray, window: int, guard: int,
     contamination from neighbouring edges lands at lags that vary
     anchor to anchor — the per-lag median across anchors keeps the
     former and rejects the latter.  Strongest anchors first (their
-    lag-0 normalizer has the best SNR).
+    lag-0 normalizer has the best SNR); of two equally strong local
+    maxima within ``guard`` of each other (a plateau) only the first
+    in that order is taken.
     """
     candidates = np.flatnonzero(magnitude >= threshold)
+    order = candidates[np.argsort(magnitude[candidates])[::-1]]
+    order = order[_local_maxima(magnitude, order, guard)
+                  & (order + window <= magnitude.size)]
+    blocked = np.zeros(magnitude.size, dtype=bool)
     taken: List[int] = []
-    for idx in candidates[np.argsort(magnitude[candidates])[::-1]]:
+    for idx in order.tolist():
         if len(taken) >= max_peaks:
             break
-        lo = max(int(idx) - guard, 0)
-        hi = min(int(idx) + guard + 1, magnitude.size)
-        if magnitude[idx] < magnitude[lo:hi].max():
+        if blocked[idx]:
             continue
-        if idx + window > magnitude.size:
-            continue
-        if any(abs(int(idx) - t) <= guard for t in taken):
-            continue
-        taken.append(int(idx))
+        taken.append(idx)
+        blocked[max(idx - guard, 0):idx + guard + 1] = True
     return taken
 
 
-def _differential_threshold(magnitude: np.ndarray,
-                            cfg: EqualizerConfig) -> float:
-    floor = float(np.median(magnitude))
-    strong = float(np.quantile(magnitude, 0.999))
-    return max(cfg.peak_threshold * floor,
-               cfg.strong_fraction * strong, 1e-30)
+def _local_maxima(magnitude: np.ndarray, indices: np.ndarray,
+                  guard: int) -> np.ndarray:
+    """Mask of ``indices`` whose magnitude is the maximum (ties
+    included) over ``±guard`` samples, the window clipped to the
+    array."""
+    window = indices[:, None] + np.arange(-guard, guard + 1)
+    np.clip(window, 0, magnitude.size - 1, out=window)
+    return magnitude[indices] >= magnitude[window].max(axis=1)
+
+
+def _differential_threshold(magnitude: np.ndarray, factor: float = 3.0,
+                            fraction: float = 0.25) -> float:
+    """Edge threshold: ``factor`` x the median |differential| (the
+    noise floor) and ``fraction`` x its 99.9th percentile."""
+    # Both statistics of the sorted copy equal those of the array; one
+    # sort costs less than the partition each would make.
+    ordered = np.sort(magnitude)
+    floor = float(np.median(ordered))
+    strong = float(np.quantile(ordered, 0.999))
+    return max(factor * floor, fraction * strong, 1e-30)
 
 
 def _trim(h: np.ndarray, ratio: float) -> np.ndarray:
@@ -219,20 +234,74 @@ def _wiener_deconvolve(x: np.ndarray, h: np.ndarray,
     return np.ascontiguousarray(out)
 
 
-def _edge_train(samples: np.ndarray, guard: int = 4) -> np.ndarray:
-    """Sparse complex edge impulses detected in a (cleaned) capture."""
+def _edge_train(samples: np.ndarray,
+                guard: int = 4) -> Tuple[np.ndarray, np.ndarray]:
+    """Sparse complex edge impulses detected in a (cleaned) capture.
+
+    Returns ``(positions, values)``: the ascending indices into the
+    capture's successive difference that hold a local ``±guard``
+    maximum above the edge threshold, and the difference there.
+    """
     d = np.diff(samples)
     magnitude = np.abs(d)
-    floor = float(np.median(magnitude))
-    strong = float(np.quantile(magnitude, 0.999))
-    threshold = max(3.0 * floor, 0.25 * strong, 1e-30)
+    candidates = np.flatnonzero(
+        magnitude >= _differential_threshold(magnitude))
+    positions = candidates[_local_maxima(magnitude, candidates, guard)]
+    return positions, d[positions]
+
+
+def _sparse_xcorr(positions: np.ndarray, values: np.ndarray,
+                  signal: np.ndarray, n_lags: int) -> np.ndarray:
+    """``sum_q conj(values[q]) * signal[positions[q] + k]`` for every
+    lag ``k < n_lags``, the signal read as zero past its end.
+
+    A direct sum over the train's nonzeros: its cost is (edges x
+    lags), independent of the capture length.  Elementwise/einsum
+    arithmetic only — a BLAS product here would start the BLAS
+    thread pool inside every pool worker.
+    """
+    padded = np.concatenate(
+        [signal, np.zeros(n_lags, dtype=np.complex128)])
+    window = padded[positions[:, None] + np.arange(n_lags)]
+    return np.einsum("q,qk->k", np.conj(values), window)
+
+
+def _train_correlations(positions: np.ndarray, values: np.ndarray,
+                        d: np.ndarray, support: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Correlations of the edge train (``values`` at ``positions``)
+    that the normal equations on ``support`` read.
+
+    The autocorrelation covers lags ``0..span`` then ``-span..-1``
+    (``span`` = the support's extent; negative lags by conjugate
+    symmetry), the cross-correlation with ``d`` lags
+    ``0..support[-1]`` — both circular layouts as
+    :func:`_normal_equations` indexes them.
+    """
+    span = int(support[-1] - support[0])
     train = np.zeros_like(d)
-    for idx in np.flatnonzero(magnitude >= threshold):
-        lo = max(int(idx) - guard, 0)
-        hi = min(int(idx) + guard + 1, magnitude.size)
-        if magnitude[idx] >= magnitude[lo:hi].max():
-            train[idx] = d[idx]
-    return train
+    train[positions] = values
+    autocorr = _sparse_xcorr(positions, values, train, span + 1)
+    autocorr = np.concatenate([autocorr, np.conj(autocorr[:0:-1])])
+    crosscorr = _sparse_xcorr(positions, values, d, int(support[-1]) + 1)
+    return autocorr, crosscorr
+
+
+def _normal_equations(autocorr: np.ndarray, crosscorr: np.ndarray,
+                      support: np.ndarray, ridge: float
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Ridge-regularized normal equations restricted to ``support``.
+
+    Both correlations are indexed by lag, circularly
+    (``corr[lag % corr.size]``): ``gram[i, j]`` is the autocorrelation
+    at ``support[j] - support[i]`` and ``rhs[i]`` the
+    cross-correlation at ``support[i]``.
+    """
+    gram = autocorr[(support[None, :] - support[:, None])
+                    % autocorr.size]
+    gram[np.diag_indices_from(gram)] += \
+        ridge * float(np.abs(np.diag(gram)).max())
+    return gram, crosscorr[support % crosscorr.size]
 
 
 def _refine_taps(d: np.ndarray, initial: np.ndarray, x: np.ndarray,
@@ -244,37 +313,29 @@ def _refine_taps(d: np.ndarray, initial: np.ndarray, x: np.ndarray,
     re-fits ``h`` by solving the normal equations of
     ``d ≈ a ⊛ h`` restricted to the initial support — the Gram
     matrix is the edge train's autocorrelation at the support lag
-    differences, computed once per round via FFT.
+    differences, the right-hand side its cross-correlation with ``d``
+    at the support lags, both summed directly over the train's
+    nonzeros.
     """
-    support = sorted({int(s + o)
-                      for s in np.flatnonzero(np.abs(initial) > 0)
-                      for o in (-1, 0, 1) if s + o >= 0})
+    nonzero = np.flatnonzero(np.abs(initial) > 0)
+    support = np.unique(nonzero[:, None] + np.arange(-1, 2))
+    support = support[support >= 0]
     h = initial
-    n = 1 << int(np.ceil(np.log2(2 * d.size)))
-    spectrum_d = np.fft.fft(d, n)
     for _ in range(cfg.refine_iterations):
         cleaned = _wiener_deconvolve(x, h, cfg.noise_regularization)
-        train = _edge_train(cleaned)
-        if np.count_nonzero(train) < cfg.min_peaks:
+        positions, values = _edge_train(cleaned)
+        if positions.size < cfg.min_peaks:
             break
-        spectrum_a = np.fft.fft(train, n)
-        autocorr = np.fft.ifft(np.conj(spectrum_a) * spectrum_a)
-        crosscorr = np.fft.ifft(np.conj(spectrum_a) * spectrum_d)
-        k = len(support)
-        gram = np.empty((k, k), dtype=np.complex128)
-        for i, si in enumerate(support):
-            for j, sj in enumerate(support):
-                gram[i, j] = autocorr[(sj - si) % n]
-        rhs = np.array([crosscorr[s % n] for s in support])
-        gram += cfg.ridge * float(np.abs(np.diag(gram)).max()) \
-            * np.eye(k)
+        autocorr, crosscorr = _train_correlations(positions, values, d,
+                                                  support)
+        gram, rhs = _normal_equations(autocorr, crosscorr, support,
+                                      cfg.ridge)
         try:
             taps = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:
             break
         refined = np.zeros(support[-1] + 1, dtype=np.complex128)
-        for lag, value in zip(support, taps):
-            refined[lag] = value
+        refined[support] = taps
         if abs(refined[0]) < 1e-12:
             break
         h = refined / refined[0]
@@ -289,6 +350,13 @@ def estimate_channel(samples: np.ndarray,
     Returns a report whose ``impulse_response`` is the normalized
     estimate (direct tap == 1) when one could be formed; ``applied``
     is left False — :func:`equalize` decides whether to act on it.
+
+    Refinement moves taps at most one lag past the initial estimate's
+    support, so when the trimmed initial estimate is shorter than
+    ``min_echo_lag`` the verdict can only be ``"flat"`` and refinement
+    is skipped: ``impulse_response``, ``n_taps``,
+    ``delay_spread_samples`` and ``echo_energy`` then describe the
+    initial (median-anchor) estimate.
     """
     cfg = config or EqualizerConfig()
     report = EqualizerReport()
@@ -302,22 +370,29 @@ def estimate_channel(samples: np.ndarray,
         return report
     d = np.diff(x)
     magnitude = np.abs(d)
-    threshold = _differential_threshold(magnitude, cfg)
+    threshold = _differential_threshold(magnitude, cfg.peak_threshold,
+                                        cfg.strong_fraction)
     peaks = _edge_peaks(magnitude, cfg.max_taps, cfg.peak_guard,
                         threshold, cfg.max_peaks)
     report.n_peaks_used = len(peaks)
     if len(peaks) < cfg.min_peaks:
         report.reason = "too_few_peaks"
         return report
-    # Each peak's trailing window is a scaled copy of h; normalizing
-    # by the lag-0 value and taking a per-lag median keeps the
-    # estimate robust to windows contaminated by a nearby edge.
-    windows = np.stack([d[p:p + cfg.max_taps] / d[p] for p in peaks])
-    initial = np.median(windows.real, axis=0) \
-        + 1j * np.median(windows.imag, axis=0)
+    # Each peak's trailing window (a column; one row per lag) is a
+    # scaled copy of h; normalizing by the lag-0 value and taking a
+    # per-lag median keeps the estimate robust to windows contaminated
+    # by a nearby edge.  Rows are sorted first: same medians, and the
+    # sort costs less than np.median's partition.
+    anchors = np.asarray(peaks)
+    windows = d[anchors + np.arange(cfg.max_taps)[:, None]] / d[anchors]
+    initial = np.median(np.sort(windows.real, axis=1), axis=1) \
+        + 1j * np.median(np.sort(windows.imag, axis=1), axis=1)
     initial[0] = 1.0
     initial = _trim(initial, cfg.min_tap_ratio)
-    if initial.size > 1 and cfg.refine_iterations > 0:
+    # An initial estimate shorter than min_echo_lag refines to taps
+    # below min_echo_lag at most: certainly flat, so skip refining.
+    if cfg.refine_iterations > 0 and initial.size > 1 \
+            and initial.size >= cfg.min_echo_lag:
         estimate = _refine_taps(d, initial, x, cfg)
     else:
         estimate = initial

@@ -40,4 +40,5 @@ class EqualizerStage:
             if report.applied:
                 ctx.trace = IQTrace(
                     samples=samples,
-                    sample_rate_hz=ctx.trace.sample_rate_hz)
+                    sample_rate_hz=ctx.trace.sample_rate_hz,
+                    start_time_s=ctx.trace.start_time_s)

@@ -12,6 +12,9 @@ Three contracts, in increasing strictness:
   golden digests.
 * **recovery** — on a corridor-multipath capture the equalized decode
   beats the baseline decode (the reason the stage exists).
+
+The direct-sum estimator's equivalence to its FFT original is pinned
+in ``tests/property/test_equalizer_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.throughput import score_epoch
+from repro.core import equalizer as equalizer_module
 from repro.core.equalizer import (EqualizerConfig, EqualizerReport,
                                   equalize, estimate_channel)
+from repro.core.stages import StageObserver
 from repro.errors import ConfigurationError
 from repro.phy.multipath import MultipathProfile, apply_multipath
 from repro.robustness.impairments import MultipathChannel, impair_capture
@@ -100,6 +105,84 @@ def test_passthrough_returns_input_object():
     assert out is samples
     assert not report.applied
     assert report.reason == "flat"
+
+
+def _flat_six_tags(profile):
+    """A flat capture whose intrinsic edge shape gives a trimmed
+    initial estimate with taps at lags 0-2 (three samples long)."""
+    return build_network(6, profile, seed=42).run_epoch(
+        0.01).trace.samples
+
+
+def test_short_initial_estimate_exits_flat_without_refining(
+        fast_profile, monkeypatch):
+    # Shorter than min_echo_lag (4), so refinement (which moves taps
+    # at most one lag past that support) cannot reach an echo lag.
+    samples = _flat_six_tags(fast_profile)
+
+    def refine_must_not_run(*args, **kwargs):
+        raise AssertionError("refinement ran on a certainly-flat estimate")
+
+    monkeypatch.setattr(equalizer_module, "_refine_taps",
+                        refine_must_not_run)
+    cfg = EqualizerConfig()
+    out, report = equalize(samples, cfg)
+    assert out is samples
+    assert not report.applied
+    assert report.reason == "flat"
+    # The report describes the initial (median-anchor) estimate.
+    h = report.impulse_response
+    assert 1 < h.size < cfg.min_echo_lag
+    assert h[0] == 1.0
+    assert report.n_taps == np.count_nonzero(h)
+    assert report.delay_spread_samples == h.size - 1
+    assert report.echo_energy == pytest.approx(
+        float(np.sum(np.abs(h[1:]) ** 2)))
+
+
+def test_initial_estimate_as_long_as_min_echo_lag_is_refined(
+        fast_profile, monkeypatch):
+    # The early exit's boundary: refinement may move the last initial
+    # tap (lag 2) onto lag 3, so with min_echo_lag=3 it must run.
+    refined = []
+    real_refine = equalizer_module._refine_taps
+
+    def spy(d, initial, x, cfg):
+        refined.append(initial.size)
+        return real_refine(d, initial, x, cfg)
+
+    monkeypatch.setattr(equalizer_module, "_refine_taps", spy)
+    estimate_channel(_flat_six_tags(fast_profile),
+                     EqualizerConfig(min_echo_lag=3))
+    assert refined == [3]
+
+
+class _TraceAfterEqualize(StageObserver):
+    """Records the trace's timebase once the equalize stage ran."""
+
+    def __init__(self):
+        self.start_time_s = None
+
+    def on_stage_end(self, stage, ctx, elapsed_s):
+        if stage.name == "equalize":
+            self.start_time_s = ctx.trace.start_time_s
+
+
+def test_equalized_trace_keeps_its_timebase(fast_profile):
+    capture = build_network(6, fast_profile, seed=42).run_epoch(
+        0.01, epoch_index=3)
+    impaired = impair_capture(
+        capture, [MultipathChannel(preset="hallway")], rng=42)
+    start_time_s = impaired.trace.start_time_s
+    assert start_time_s > 0
+
+    decoder = build_decoder(fast_profile, enable_equalizer=True)
+    observer = _TraceAfterEqualize()
+    decoder.add_observer(observer)
+    result = decoder.decode_epoch(impaired.trace)
+
+    assert result.equalizer.applied
+    assert observer.start_time_s == start_time_s
 
 
 def test_disabled_stage_is_absent_from_decode(fast_profile,
