@@ -50,10 +50,9 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
 BASELINE = BENCH_DIR / "BENCH_decoder.json"
-#: The benchmark whose samples_per_second is the headline number.  The
-#: speed test is parametrized per kernel backend, so exports carry
-#: entries like ``test_decode_speed_16_tags[reference]``; matching
-#: strips the parameter and the gate compares backend against backend.
+#: The benchmark whose samples_per_second is the headline number.
+#: Matching ignores any pytest parameter suffix, so older exports whose
+#: entry reads ``test_decode_speed_16_tags[reference]`` still match.
 HEADLINE = "test_decode_speed_16_tags"
 DEFAULT_TOLERANCE = 0.20
 #: Highest acceptable fidelity escalation rate on the clean 16-tag
@@ -88,60 +87,31 @@ WATERFALL_SLACK = 0.02
 DEFAULT_SIGNOFF_TOLERANCE = 0.10
 
 
-def _entry_backend(bench: dict) -> str:
-    """Which kernel backend a headline entry measured.
-
-    Prefers the explicit ``backend`` field (summary format, or raw
-    extra_info); falls back to the pytest parameter in the name
-    (``...[numba]``); entries predating the A/B split carry neither and
-    default to ``"reference"`` — the only code path that existed then.
-    """
-    backend = bench.get("backend") \
-        or bench.get("extra_info", {}).get("backend")
-    if backend:
-        return str(backend)
-    name = bench.get("name", "")
-    if "[" in name and name.endswith("]"):
-        return name[name.index("[") + 1:-1]
-    return "reference"
-
-
 def _is_headline(bench: dict) -> bool:
     return bench.get("name", "").split("[")[0] == HEADLINE
 
 
-def _headline_rates(benchmarks: list) -> dict:
-    """``{backend: samples_per_second}`` for every headline entry."""
-    rates: dict = {}
+def _headline_rate(benchmarks: list) -> float:
+    """samples_per_second of the first headline entry."""
     for bench in benchmarks:
         if _is_headline(bench) and bench.get("samples_per_second"):
-            rates[_entry_backend(bench)] = \
-                float(bench["samples_per_second"])
-    if not rates:
-        raise SystemExit(
-            f"no samples_per_second recorded for {HEADLINE!r}")
-    return rates
+            return float(bench["samples_per_second"])
+    raise SystemExit(f"no samples_per_second recorded for {HEADLINE!r}")
 
 
 def _headline_fidelity_stats(benchmarks: list) -> dict | None:
     """The headline benchmark's fidelity counters, if recorded.
 
     Accepts both the summary format (counters at the top level) and
-    pytest-benchmark's raw export (nested under ``extra_info``).  The
-    counters track the adaptive ladder, which is backend-independent;
-    the reference entry is canonical when several backends ran.
+    pytest-benchmark's raw export (nested under ``extra_info``).
     """
-    found = None
     for bench in benchmarks:
-        if not _is_headline(bench):
-            continue
-        stats = bench.get("fidelity_stats")
-        if stats is None:
-            stats = bench.get("extra_info", {}).get("fidelity_stats")
-        found = stats
-        if _entry_backend(bench) == "reference":
-            break
-    return found
+        if _is_headline(bench):
+            stats = bench.get("fidelity_stats")
+            if stats is None:
+                stats = bench.get("extra_info", {}).get("fidelity_stats")
+            return stats
+    return None
 
 
 def _normalize(benches: list) -> list:
@@ -154,23 +124,22 @@ def _normalize(benches: list) -> list:
     return benches
 
 
-def load_baseline(path: Path) -> dict:
+def load_baseline(path: Path) -> float:
     if not path.exists():
         raise SystemExit(f"baseline {path} not found — run "
                          f"benchmarks/run_bench.py first")
-    return _headline_rates(
+    return _headline_rate(
         _normalize(json.loads(path.read_text())["benchmarks"]))
 
 
 def measure_candidate(candidate: Path | None) -> tuple:
-    """Headline ({backend: rate}, fidelity_stats) of a saved export or
-    fresh run."""
+    """Headline (rate, fidelity_stats) of a saved export or fresh run."""
     if candidate is not None:
         payload = json.loads(candidate.read_text())
         # Accept either our summary format or pytest-benchmark's raw
         # export (whose entries keep extra_info nested).
         benches = _normalize(payload.get("benchmarks", []))
-        return _headline_rates(benches), _headline_fidelity_stats(benches)
+        return _headline_rate(benches), _headline_fidelity_stats(benches)
     with tempfile.TemporaryDirectory() as tmp:
         json_path = Path(tmp) / "candidate.json"
         cmd = [sys.executable, "-m", "pytest",
@@ -186,7 +155,7 @@ def measure_candidate(candidate: Path | None) -> tuple:
 
 def measure_candidate_from_raw(payload: dict) -> tuple:
     benches = _normalize(payload.get("benchmarks", []))
-    return _headline_rates(benches), _headline_fidelity_stats(benches)
+    return _headline_rate(benches), _headline_fidelity_stats(benches)
 
 
 def check_escalation_rate(stats: dict | None, ceiling: float) -> int:
@@ -592,41 +561,19 @@ def main(argv: list | None = None) -> int:
     if not 0.0 < args.escalation_ceiling <= 1.0:
         parser.error("--escalation-ceiling must be in (0, 1]")
 
-    baselines = load_baseline(args.baseline)
-    candidates, fidelity = measure_candidate(args.candidate)
+    baseline = load_baseline(args.baseline)
+    candidate, fidelity = measure_candidate(args.candidate)
 
-    failed = False
-    any_faster = False
-    for backend in sorted(baselines):
-        baseline = baselines[backend]
-        candidate = candidates.get(backend)
-        if candidate is None:
-            # The baseline machine had this backend but this run does
-            # not (typically numba absent in a minimal CI job).  An
-            # uninstallable accelerator is an environment difference,
-            # not a decoder regression — warn and gate the rest.
-            print(f"[{backend}] baseline {baseline:,.0f} samples/s but "
-                  f"no candidate entry — backend unavailable here, "
-                  f"skipping (not a regression)")
-            continue
-        floor = baseline * (1.0 - args.tolerance)
-        change = candidate / baseline - 1.0
-        print(f"[{backend}] baseline : {baseline:,.0f} samples/s")
-        print(f"[{backend}] candidate: {candidate:,.0f} samples/s "
-              f"({change:+.1%})")
-        print(f"[{backend}] floor    : {floor:,.0f} samples/s "
-              f"(-{args.tolerance:.0%} tolerance)")
-        if candidate < floor:
-            print(f"[{backend}] FAIL: throughput regressed past the "
-                  f"tolerance")
-            failed = True
-        elif candidate > baseline:
-            any_faster = True
-    for backend in sorted(set(candidates) - set(baselines)):
-        # A backend with no recorded baseline cannot regress; report
-        # it so the next run_bench.py refresh picks it up.
-        print(f"[{backend}] candidate: {candidates[backend]:,.0f} "
-              f"samples/s (no baseline recorded — informational)")
+    floor = baseline * (1.0 - args.tolerance)
+    change = candidate / baseline - 1.0
+    print(f"baseline : {baseline:,.0f} samples/s")
+    print(f"candidate: {candidate:,.0f} samples/s ({change:+.1%})")
+    print(f"floor    : {floor:,.0f} samples/s "
+          f"(-{args.tolerance:.0%} tolerance)")
+    failed = candidate < floor
+    if failed:
+        print("FAIL: throughput regressed past the tolerance")
+    any_faster = candidate > baseline
     status = check_escalation_rate(fidelity, args.escalation_ceiling)
     service_status = check_service(
         args.service_candidate, args.service_baseline,

@@ -49,21 +49,7 @@ SPEED_TESTS = [BENCH_DIR / "test_decoder_speed.py",
 EXTRA_KEYS = ("samples_per_second", "steady_state_speedup",
               "warm_separate_fraction", "steady_cold_epoch_s",
               "steady_warm_epoch_s", "cache_stats", "n_trackers",
-              "fidelity_stats", "backend")
-
-
-def _backend_header() -> dict:
-    """Kernel-backend metadata for the summary header."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.core.kernels import available_backends
-
-    try:
-        import numba
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
-    return {"backends": list(available_backends()),
-            "numba_version": numba_version}
+              "fidelity_stats")
 
 
 def run_speed_benchmark(json_path: Path) -> None:
@@ -86,10 +72,6 @@ def summarize(raw: dict) -> dict:
         extra = bench.get("extra_info", {})
         entry = {
             "name": bench["name"],
-            # Entries predating the backend A/B split (and benchmarks
-            # that never dispatch through kernels) ran the pure-numpy
-            # code path, so "reference" is the honest default.
-            "backend": extra.get("backend", "reference"),
             "mean_s": stats["mean"],
             "min_s": stats["min"],
             "stddev_s": stats["stddev"],
@@ -120,20 +102,16 @@ def summarize(raw: dict) -> dict:
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "machine": raw.get("machine_info", {}).get("node"),
         "python": raw.get("machine_info", {}).get("python_version"),
-        **_backend_header(),
         "benchmarks": benchmarks,
     }
 
 
-def profile_one_decode(backend: str = "reference",
-                       top: int = 20) -> None:
+def profile_one_decode(top: int = 20) -> None:
     """cProfile a single 16-tag epoch decode; print top functions.
 
     Reuses the speed benchmark's fixture (same seed, same tag
     population) so the profile attributes exactly the workload the
-    headline number measures.  ``backend`` selects the kernel backend
-    under profile, so a JIT-backend slowdown can be attributed without
-    editing the environment.
+    headline number measures.
     """
     import cProfile
     import pstats
@@ -144,16 +122,13 @@ def profile_one_decode(backend: str = "reference",
     from repro.core.pipeline import LFDecoder, LFDecoderConfig
 
     profile, capture = sixteen_tag_capture.__wrapped__()
-    decoder = LFDecoder(LFDecoderConfig(
-        candidate_bitrates_bps=[10e3], profile=profile,
-        kernel_backend=backend), rng=1)
-    # One untimed decode first so numpy/jit warm-up does not pollute
-    # the profile; a fresh decoder for the measured pass keeps the
+    config = LFDecoderConfig(candidate_bitrates_bps=[10e3],
+                             profile=profile)
+    # One untimed decode first so numpy warm-up does not pollute the
+    # profile; a fresh decoder for the measured pass keeps the
     # session-free cold path honest.
-    decoder.decode_epoch(capture.trace)
-    decoder = LFDecoder(LFDecoderConfig(
-        candidate_bitrates_bps=[10e3], profile=profile,
-        kernel_backend=backend), rng=1)
+    LFDecoder(config, rng=1).decode_epoch(capture.trace)
+    decoder = LFDecoder(config, rng=1)
     profiler = cProfile.Profile()
     profiler.enable()
     decoder.decode_epoch(capture.trace)
@@ -172,10 +147,6 @@ def main(argv: list | None = None) -> None:
     parser.add_argument("--profile", action="store_true",
                         help="also cProfile one 16-tag decode and "
                              "print the top 20 cumulative functions")
-    parser.add_argument("--backend", default="reference",
-                        choices=("reference", "numba", "auto"),
-                        help="kernel backend for the --profile decode "
-                             "(default: reference)")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -185,11 +156,7 @@ def main(argv: list | None = None) -> None:
     summary = summarize(raw)
     OUTPUT.write_text(json.dumps(summary, indent=2) + "\n")
     for bench in summary["benchmarks"]:
-        line = bench["name"]
-        # Parametrized entries already carry the backend in the name.
-        if f"[{bench['backend']}]" not in line:
-            line += f" [{bench['backend']}]"
-        line += f": mean {bench['mean_s'] * 1e3:.1f} ms"
+        line = f"{bench['name']}: mean {bench['mean_s'] * 1e3:.1f} ms"
         if bench.get("samples_per_second"):
             line += f", {bench['samples_per_second']:,.0f} samples/s"
         if bench.get("steady_state_speedup"):
@@ -208,7 +175,7 @@ def main(argv: list | None = None) -> None:
             print(f"  fidelity: {fired}")
     print(f"wrote {OUTPUT}")
     if args.profile:
-        profile_one_decode(backend=args.backend)
+        profile_one_decode()
 
 
 if __name__ == "__main__":

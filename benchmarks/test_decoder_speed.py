@@ -8,7 +8,6 @@ regressions when the decoder changes.
 import pytest
 
 from conftest import sixteen_tag_synth
-from repro.core.kernels import available_backends
 from repro.core.pipeline import LFDecoder, LFDecoderConfig
 
 
@@ -18,24 +17,15 @@ def sixteen_tag_capture():
     return synth.profile, synth.capture(0.010)
 
 
-# One A/B entry per kernel backend the environment can construct:
-# always [reference]; [numba] rides along when the [jit] extra is
-# installed.  Backend resolution (and any JIT warm-up) happens in the
-# LFDecoder constructor, outside the timed region.
-@pytest.mark.parametrize("backend", available_backends())
-def test_decode_speed_16_tags(benchmark, sixteen_tag_capture, backend):
+def test_decode_speed_16_tags(benchmark, sixteen_tag_capture):
     profile, capture = sixteen_tag_capture
     decoder = LFDecoder(LFDecoderConfig(
-        candidate_bitrates_bps=[10e3], profile=profile,
-        kernel_backend=backend), rng=1)
+        candidate_bitrates_bps=[10e3], profile=profile), rng=1)
 
     result = benchmark(decoder.decode_epoch, capture.trace)
     assert result.n_streams >= 12
     samples_per_second = len(capture.trace) / benchmark.stats["mean"]
     benchmark.extra_info["samples_per_second"] = samples_per_second
-    # Which kernel backend produced this entry — run_bench.py copies it
-    # into the summary and check_regression.py gates per backend.
-    benchmark.extra_info["backend"] = backend
     # Last-round per-stage wall-clock split, for attribution of any
     # regression (keys: edge/fold/extract/detect/separate/viterbi/
     # total).

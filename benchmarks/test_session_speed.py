@@ -1,6 +1,6 @@
 """Multi-epoch session benchmark: warm-start caches vs cold restarts.
 
-The tentpole scenario for :class:`repro.core.session.SessionDecoder`:
+The tentpole scenario for :class:`repro.core.session_decoder.SessionDecoder`:
 16 tags at 10 kbps with 40 ppm clock drift transmit for 8 consecutive
 reader epochs.  The cold baseline decodes every epoch with a fresh
 :class:`LFDecoder` (exactly what a stateless deployment would do); the

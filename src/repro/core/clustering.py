@@ -17,8 +17,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..utils.rng import SeedLike, make_rng
+from . import kernels
 from .fidelity import FidelityPolicy
-from .kernels import KernelBackend, get_backend
 
 
 @dataclass
@@ -83,8 +83,7 @@ def kmeans(points: np.ndarray, k: int, rng: SeedLike = None,
            n_init: int = 4, max_iter: int = 100,
            tol: float = 1e-10,
            init_centroids: Optional[np.ndarray] = None,
-           bounded_min_points: int = 1024,
-           backend: Optional[KernelBackend] = None) -> KMeansResult:
+           bounded_min_points: int = 1024) -> KMeansResult:
     """Lloyd's algorithm on complex points with k-means++ restarts.
 
     ``init_centroids``, when given, is a length-``k`` complex array of
@@ -118,32 +117,26 @@ def kmeans(points: np.ndarray, k: int, rng: SeedLike = None,
         # brute-force iteration (property-tested) while skipping most
         # distance computations once assignments settle.
         if pts.size >= bounded_min_points and k > 1:
-            return kmeans_bounded(pts, k, warm, max_iter=max_iter,
-                                  tol=tol, backend=backend)
+            return kmeans_bounded(pts, k, warm, max_iter=max_iter, tol=tol)
     gen = make_rng(rng)
     if init_centroids is not None:
         cents = warm[None, :].copy()
     else:
         cents = _kmeans_pp_init(pts, k, n_init, gen)
-    return _lloyd_batched(pts, cents, max_iter=max_iter, tol=tol,
-                          backend=backend)
+    return _lloyd_batched(pts, cents, max_iter=max_iter, tol=tol)
 
 
 def _lloyd_batched(pts: np.ndarray, cents: np.ndarray,
                    max_iter: int = 100,
-                   tol: float = 1e-10,
-                   backend: Optional[KernelBackend] = None
-                   ) -> KMeansResult:
+                   tol: float = 1e-10) -> KMeansResult:
     """Batched Lloyd iteration over a stack of restarts.
 
     All restarts run in one batched iteration (an (R, k) centroid
     stack); each restart follows exactly the trajectory it would
     follow alone, and the best restart by final inertia wins.  The
-    arithmetic lives in the kernel backend's ``lloyd_batched``
-    (:mod:`repro.core.kernels`).
+    arithmetic lives in :func:`repro.core.kernels.lloyd_batched`.
     """
-    kern = backend if backend is not None else get_backend()
-    centroids, labels, inertia = kern.lloyd_batched(
+    centroids, labels, inertia = kernels.lloyd_batched(
         pts, cents, max_iter=max_iter, tol=tol)
     return KMeansResult(centroids=centroids, labels=labels,
                         inertia=inertia)
@@ -152,8 +145,7 @@ def _lloyd_batched(pts: np.ndarray, cents: np.ndarray,
 def kmeans_bounded(points: np.ndarray, k: int,
                    init_centroids: np.ndarray,
                    max_iter: int = 100, tol: float = 1e-10,
-                   stats: Optional[Dict[str, int]] = None,
-                   backend: Optional[KernelBackend] = None
+                   stats: Optional[Dict[str, int]] = None
                    ) -> KMeansResult:
     """Single-restart Lloyd iteration with Hamerly distance bounds.
 
@@ -182,8 +174,7 @@ def kmeans_bounded(points: np.ndarray, k: int,
             f"k={k} exceeds the number of points ({pts.size})")
     if stats is not None:
         stats["bounded_lloyd_runs"] = stats.get("bounded_lloyd_runs", 0) + 1
-    kern = backend if backend is not None else get_backend()
-    centroids, labels, inertia = kern.bounded_lloyd(
+    centroids, labels, inertia = kernels.bounded_lloyd(
         pts, cents, max_iter=max_iter, tol=tol)
     return KMeansResult(centroids=centroids, labels=labels,
                         inertia=inertia)
@@ -217,8 +208,7 @@ def select_cluster_count(points: np.ndarray,
                          fits_out: Optional[
                              Dict[int, KMeansResult]] = None,
                          policy: Optional[FidelityPolicy] = None,
-                         stats: Optional[Dict[str, int]] = None,
-                         backend: Optional[KernelBackend] = None
+                         stats: Optional[Dict[str, int]] = None
                          ) -> KMeansResult:
     """Pick the cluster count by inertia-improvement ratio.
 
@@ -261,11 +251,11 @@ def select_cluster_count(points: np.ndarray,
     if policy is not None and policy.active and len(feasible) > 1:
         return _select_adaptive(pts, feasible, gen, n_init,
                                 improvement_factor, hints, fits_out,
-                                policy, stats, backend)
+                                policy, stats)
 
     def _fit(k: int) -> KMeansResult:
         result = kmeans(pts, k, rng=gen, n_init=n_init,
-                        init_centroids=hints.get(k), backend=backend)
+                        init_centroids=hints.get(k))
         if fits_out is not None:
             fits_out[k] = result
         return result
@@ -285,8 +275,7 @@ def _select_adaptive(pts: np.ndarray, feasible: List[int],
                      hints: Dict[int, np.ndarray],
                      fits_out: Optional[Dict[int, KMeansResult]],
                      policy: FidelityPolicy,
-                     stats: Optional[Dict[str, int]],
-                     backend: Optional[KernelBackend] = None
+                     stats: Optional[Dict[str, int]]
                      ) -> KMeansResult:
     """Subsampled, shared-seeded candidate-k sweep with escalation.
 
@@ -329,9 +318,8 @@ def _select_adaptive(pts: np.ndarray, feasible: List[int],
         if hint is not None and not subsampled:
             seeds = np.asarray(hint, dtype=np.complex128).ravel()
             if seeds.size == k:
-                return _lloyd_batched(sub, seeds[None, :],
-                                      backend=backend)
-        return _lloyd_batched(sub, shared[:, :k], backend=backend)
+                return _lloyd_batched(sub, seeds[None, :])
+        return _lloyd_batched(sub, shared[:, :k])
 
     fits = {k: _fit_sub(k) for k in feasible}
     best_k = feasible[0]
@@ -357,8 +345,7 @@ def _select_adaptive(pts: np.ndarray, feasible: List[int],
         best = None
         for k in feasible:
             result = kmeans(pts, k, rng=gen, n_init=n_init,
-                            init_centroids=hints.get(k),
-                            backend=backend)
+                            init_centroids=hints.get(k))
             if fits_out is not None:
                 fits_out[k] = result
             if best is None:
@@ -376,10 +363,9 @@ def _select_adaptive(pts: np.ndarray, feasible: List[int],
         # labels, so refit warm from the subsample centroids.
         if pts.size >= policy.bounded_min_points and best_k > 1:
             best = kmeans_bounded(pts, best_k, fits[best_k].centroids,
-                                  stats=stats, backend=backend)
+                                  stats=stats)
         else:
-            best = _lloyd_batched(pts, fits[best_k].centroids[None, :],
-                                  backend=backend)
+            best = _lloyd_batched(pts, fits[best_k].centroids[None, :])
         fits[best_k] = best
     else:
         best = fits[best_k]

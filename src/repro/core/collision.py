@@ -24,7 +24,6 @@ from ..errors import ConfigurationError
 from ..utils.rng import SeedLike
 from .clustering import KMeansResult, kmeans, select_cluster_count
 from .fidelity import FidelityPolicy
-from .kernels import KernelBackend
 
 
 @dataclass
@@ -106,8 +105,7 @@ def detect_collision(differentials: np.ndarray,
                      policy: Optional[FidelityPolicy] = None,
                      stats: Optional[Dict[str, int]] = None,
                      warm: bool = False,
-                     cache_fast_fit: bool = True,
-                     backend: Optional[KernelBackend] = None
+                     cache_fast_fit: bool = True
                      ) -> CollisionReport:
     """Decide whether a stream's grid differentials contain a collision.
 
@@ -167,8 +165,7 @@ def detect_collision(differentials: np.ndarray,
                              init_centroids=(centroid_hints
                                              or {}).get(k3),
                              bounded_min_points=(
-                                 policy.bounded_min_points),
-                             backend=backend)
+                                 policy.bounded_min_points))
                 fits_out[k3] = fit
             return CollisionReport(
                 is_collision=False,
@@ -187,8 +184,7 @@ def detect_collision(differentials: np.ndarray,
                                improvement_factor=1.5,
                                centroid_hints=centroid_hints,
                                fits_out=fits_out,
-                               policy=policy, stats=stats,
-                               backend=backend)
+                               policy=policy, stats=stats)
     if planarity is None:
         planarity = scatter_planarity(pts)
         threshold = effective_planarity_threshold(

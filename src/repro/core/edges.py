@@ -19,7 +19,7 @@ from .. import constants
 from ..errors import ConfigurationError, SignalError
 from ..types import DetectedEdge, IQTrace
 from ..utils.dsp import find_peaks_above
-from .kernels import KernelBackend, get_backend
+from . import kernels
 
 
 @dataclass(frozen=True)
@@ -116,17 +116,8 @@ def refine_window_bounds(pos: np.ndarray, limits: np.ndarray, n: int,
 class EdgeDetector:
     """Extracts :class:`DetectedEdge` records from an IQ trace."""
 
-    def __init__(self, config: Optional[EdgeDetectorConfig] = None,
-                 backend: Optional[KernelBackend] = None):
+    def __init__(self, config: Optional[EdgeDetectorConfig] = None):
         self.config = config or EdgeDetectorConfig()
-        #: Kernel backend for the differential gather; ``None`` defers
-        #: to the process default at call time.
-        self.backend = backend
-
-    @property
-    def kernels(self) -> KernelBackend:
-        return self.backend if self.backend is not None \
-            else get_backend()
 
     def differential_magnitude(self, trace: IQTrace) -> np.ndarray:
         """|dS(t)| sweep used for coarse edge localization.
@@ -215,8 +206,7 @@ class EdgeDetector:
         csum = trace.prefix_sum()
         lo_b, hi_b, lo_a, hi_a = refine_window_bounds(
             pos, limits, n, cfg.guard, cfg.max_refine_window)
-        return self.kernels.edge_differentials(csum, lo_b, hi_b,
-                                               lo_a, hi_a)
+        return kernels.edge_differentials(csum, lo_b, hi_b, lo_a, hi_a)
 
 
 def _merge_similar(positions: np.ndarray, differentials: np.ndarray,

@@ -36,9 +36,9 @@ counter pair per gate) that lands on
 trade stays observable: a fast path that silently stopped firing shows
 up as an escalation-rate regression, not as an unexplained slowdown.
 
-``FidelityPolicy(force_full=True)`` (or ``enabled=False``) disables
-every fast path and reproduces the full-fidelity decoder bit-for-bit —
-the same code paths run, consuming the same RNG stream.
+``FidelityPolicy(force_full=True)`` disables every fast path and
+reproduces the full-fidelity decoder bit-for-bit — the same code paths
+run, consuming the same RNG stream.
 """
 
 from __future__ import annotations
@@ -74,11 +74,9 @@ class FidelityPolicy:
 
     The default policy is the adaptive fast path; ``force_full=True``
     turns every gate off and reproduces the full-fidelity decoder
-    bit-identically (``enabled=False`` is equivalent — ``force_full``
-    reads as intent when overriding a config that has a policy).
+    bit-identically.
     """
 
-    enabled: bool = True
     #: Hard off-switch: run every stage at full fidelity, consuming the
     #: exact RNG stream of the pre-policy decoder.
     force_full: bool = False
@@ -158,12 +156,7 @@ class FidelityPolicy:
     @property
     def active(self) -> bool:
         """True when any fast path may fire."""
-        return self.enabled and not self.force_full
-
-    @staticmethod
-    def full() -> "FidelityPolicy":
-        """The full-fidelity policy (every gate off, legacy decoding)."""
-        return FidelityPolicy(force_full=True)
+        return not self.force_full
 
     def new_stats(self) -> Dict[str, int]:
         """A zeroed per-epoch counter dict (one entry per stat key)."""

@@ -1,121 +1,43 @@
-"""Pluggable numeric kernel backends for the decode pipeline.
+"""The decoder's numeric kernels: plain numpy arrays in and out.
 
-The pipeline's arithmetic hot spots (Lloyd iterations, lattice
-matching, edge-differential extraction, Viterbi) dispatch through a
-:class:`~repro.core.kernels.base.KernelBackend`.  Two implementations
-ship:
+The pipeline's arithmetic hot spots are a handful of tight kernels;
+everything else is orchestration.  They live in
+:mod:`repro.core.kernels.reference` and are re-exported here, so the
+decode modules call them as ``kernels.lloyd_batched(...)``:
 
-* ``"reference"`` — pure numpy, bit-identical to the decoder's
-  original code paths (pinned by the golden digests);
-* ``"numba"`` — the same kernels JIT-compiled, requiring the optional
-  ``[jit]`` extra; numerically equivalent (property-tested).
+* :func:`lloyd_batched` / :func:`bounded_lloyd` — the batched and
+  Hamerly-bounded Lloyd iterations behind every k-means fit;
+* :func:`lattice_match_errors` — the greedy centroid<->lattice
+  matching of the collision separator;
+* :func:`edge_differentials` — the prefix-sum gather that turns window
+  bounds into IQ differentials;
+* :func:`viterbi_exact` / :func:`viterbi_banded` — the four-state
+  trellis and its certified thresholding fast path.
 
-Selection precedence, first match wins:
-
-1. an explicit name passed by the caller (``LFDecoderConfig.
-   kernel_backend``, or directly to :func:`resolve_backend`);
-2. the ``REPRO_KERNEL_BACKEND`` environment variable;
-3. the default, ``"reference"``.
-
-``"auto"`` picks numba when importable, else reference, silently.
-Requesting ``"numba"`` explicitly when numba is missing warns once per
-process and degrades to the reference backend — never an import error.
+Nothing in this package imports the layers above it
+(``tools/check_import_cycles.py`` enforces that).
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import Dict, Optional, Tuple
+from types import ModuleType
 
-from ...errors import ConfigurationError
-from .base import KernelBackend
-from .reference import ReferenceBackend
+from . import reference
+from .reference import (bounded_lloyd, edge_differentials,
+                        lattice_match_errors, lloyd_batched,
+                        viterbi_banded, viterbi_exact)
 
 __all__ = [
-    "KernelBackend",
-    "ReferenceBackend",
-    "ENV_VAR",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "resolve_backend",
+    "bounded_lloyd",
+    "edge_differentials",
     "get_backend",
+    "lattice_match_errors",
+    "lloyd_batched",
+    "viterbi_banded",
+    "viterbi_exact",
 ]
 
-#: Environment variable consulted when no explicit backend is given.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-#: Backend used when neither the caller nor the environment chooses.
-DEFAULT_BACKEND = "reference"
-
-#: Constructed backends, one per name — warm-up (JIT compilation) runs
-#: once per process, not once per decoder.
-_instances: Dict[str, KernelBackend] = {}
-
-_warned_numba_missing = False
-
-
-def _numba_importable() -> bool:
-    import importlib.util
-
-    return importlib.util.find_spec("numba") is not None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backend names constructible in this environment."""
-    names = ["reference"]
-    if _numba_importable():
-        names.append("numba")
-    return tuple(names)
-
-
-def _build_numba() -> Optional[KernelBackend]:
-    """Construct the numba backend, or None (warning once) without it."""
-    global _warned_numba_missing
-    try:
-        from .numba_backend import NumbaBackend
-
-        return NumbaBackend()
-    except ImportError:
-        if not _warned_numba_missing:
-            _warned_numba_missing = True
-            warnings.warn(
-                "REPRO kernel backend 'numba' requested but numba is "
-                "not installed; falling back to the pure-numpy "
-                "reference backend (pip install 'repro-lf[jit]' to "
-                "enable it)", RuntimeWarning, stacklevel=3)
-        return None
-
-
-def resolve_backend(name: Optional[str] = None) -> KernelBackend:
-    """Resolve a backend by the documented precedence.
-
-    ``name`` overrides everything; ``None`` falls back to the
-    ``REPRO_KERNEL_BACKEND`` environment variable, then the default.
-    Unknown names raise :class:`~repro.errors.ConfigurationError`; a
-    missing numba degrades to the reference backend with one warning.
-    """
-    requested = name if name is not None else os.environ.get(ENV_VAR)
-    requested = (requested or DEFAULT_BACKEND).strip().lower()
-    if requested == "auto":
-        requested = "numba" if _numba_importable() else "reference"
-    if requested not in ("reference", "numba"):
-        raise ConfigurationError(
-            f"unknown kernel backend {requested!r}; expected "
-            "'reference', 'numba' or 'auto'")
-    cached = _instances.get(requested)
-    if cached is not None:
-        return cached
-    if requested == "numba":
-        backend = _build_numba()
-        if backend is None:
-            return resolve_backend("reference")
-    else:
-        backend = ReferenceBackend()
-    _instances[requested] = backend
-    return backend
-
-
-def get_backend() -> KernelBackend:
-    """The process-default backend (environment-driven precedence)."""
-    return resolve_backend(None)
+def get_backend() -> ModuleType:
+    """The kernel module in use; its ``name`` is ``"reference"``."""
+    return reference

@@ -1,11 +1,13 @@
-"""Pure-numpy reference implementations of the decode kernels.
+"""The decoder's numeric kernels, in pure numpy.
 
-These are the decoder's original hot-path code, moved verbatim out of
-``clustering.py`` / ``separation.py`` / ``edges.py`` / ``viterbi.py``
-so they sit behind the :class:`~repro.core.kernels.base.KernelBackend`
-seam.  Every operation and its order is preserved, so a decode through
-this backend is bit-identical to the pre-kernel pipeline — the golden
-SHA-256 digests in ``tests/golden/`` pin exactly that.
+These are the decoder's hot-path arithmetic, kept apart from the
+orchestration in ``clustering.py`` / ``separation.py`` / ``edges.py``
+/ ``viterbi.py``: plain arrays in, plain arrays out.  Every operation
+and its order is the decoder's original code, so decodes stay
+bit-identical — the golden SHA-256 digests in ``tests/golden/`` pin
+exactly that.  Loop-form oracles in
+``tests/property/_loop_kernels.py`` check each kernel against an
+independent implementation.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
+
+#: Identifier of this implementation, recorded in benchmark
+#: environments through :func:`repro.core.kernels.get_backend`.
+name = "reference"
 
 RISE, FALL, HOLD_HIGH, HOLD_LOW = 0, 1, 2, 3
 
@@ -208,7 +214,14 @@ def edge_differentials(csum: np.ndarray,
                        lo_b: np.ndarray, hi_b: np.ndarray,
                        lo_a: np.ndarray, hi_a: np.ndarray
                        ) -> np.ndarray:
-    """Prefix-sum gather of windowed before/after means."""
+    """Prefix-sum gather of windowed before/after means.
+
+    For each position ``i``: ``mean(csum[lo_a[i]:hi_a[i]]) -
+    mean(csum[lo_b[i]:hi_b[i]])``, where the mean of a prefix-sum
+    window ``[lo, hi)`` is ``(csum[hi] - csum[lo]) / (hi - lo)``.
+    Every window must be non-empty (``hi > lo``); the caller's
+    bounds planning handles degenerate windows.
+    """
     before = (csum[hi_b] - csum[lo_b]) / (hi_b - lo_b)
     after = (csum[hi_a] - csum[lo_a]) / (hi_a - lo_a)
     return np.asarray(after - before, dtype=np.complex128)
@@ -223,7 +236,9 @@ def viterbi_exact(obs: np.ndarray, sigma: float,
     predecessors), so a scalar Python recursion beats building a
     (4, 4) candidate matrix per step by an order of magnitude.
     Emissions are still computed vectorized; HOLD_HIGH/HOLD_LOW
-    share the zero-mean emission.
+    share the zero-mean emission.  ``initial_state`` pins the first
+    state (0..3) or is -1 to share the prior between RISE and
+    HOLD_LOW.  Returns the int8 state path.
     """
     const = -math.log(sigma) - 0.5 * math.log(2.0 * math.pi)
     inv = 1.0 / sigma
@@ -318,18 +333,3 @@ def viterbi_banded(obs: np.ndarray, band: float,
         return None
     return states
 
-
-class ReferenceBackend:
-    """The pure-numpy :class:`KernelBackend` — bit-exact by definition."""
-
-    name = "reference"
-
-    def warm_up(self) -> None:
-        """Nothing to compile."""
-
-    lloyd_batched = staticmethod(lloyd_batched)
-    bounded_lloyd = staticmethod(bounded_lloyd)
-    lattice_match_errors = staticmethod(lattice_match_errors)
-    edge_differentials = staticmethod(edge_differentials)
-    viterbi_exact = staticmethod(viterbi_exact)
-    viterbi_banded = staticmethod(viterbi_banded)

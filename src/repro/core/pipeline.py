@@ -37,7 +37,6 @@ from .edges import EdgeDetector, EdgeDetectorConfig
 from .equalizer import EqualizerConfig
 from .fidelity import FidelityPolicy
 from .folding import FoldingConfig
-from .kernels import KernelBackend, resolve_backend
 from .stages import (DecodeContext, StageObserver, StageRunner,
                      StatsAccumulator, default_epoch_stages,
                      default_stream_stages)
@@ -106,17 +105,10 @@ class LFDecoderConfig:
     equalizer_config: Optional[EqualizerConfig] = None
     #: Multi-fidelity decode policy (see
     #: :class:`repro.core.fidelity.FidelityPolicy`).  ``None`` uses the
-    #: default adaptive policy; ``FidelityPolicy.full()`` forces full
-    #: fidelity everywhere and reproduces the pre-adaptive decoder
-    #: bit-identically.
+    #: default adaptive policy; ``FidelityPolicy(force_full=True)``
+    #: forces full fidelity everywhere and reproduces the pre-adaptive
+    #: decoder bit-identically.
     fidelity: Optional[FidelityPolicy] = None
-    #: Compute-kernel backend name (see :mod:`repro.core.kernels`):
-    #: ``"reference"`` (pure numpy), ``"numba"`` (JIT-compiled, falls
-    #: back with a warning when numba is not installed) or ``"auto"``
-    #: (numba when available, silently reference otherwise).  ``None``
-    #: defers to the ``REPRO_KERNEL_BACKEND`` environment variable,
-    #: then to ``"reference"``.
-    kernel_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.candidate_bitrates_bps:
@@ -136,19 +128,13 @@ class LFDecoder:
                  observers: Sequence[StageObserver] = ()):
         self.config = config or LFDecoderConfig()
         self._rng = make_rng(rng)
-        #: Resolved compute-kernel backend (warm-up/JIT compilation
-        #: happens here, at construction — never inside a timed decode).
-        self.kernels: KernelBackend = resolve_backend(
-            self.config.kernel_backend)
-        self.edge_detector = EdgeDetector(self.config.edge_config,
-                                          backend=self.kernels)
+        self.edge_detector = EdgeDetector(self.config.edge_config)
         self.fidelity = self.config.fidelity or FidelityPolicy()
         self.viterbi = ViterbiDecoder(
             p_flip=self.config.p_flip,
             banded=(self.fidelity.active
                     and self.fidelity.banded_viterbi),
-            band_margin=self.fidelity.viterbi_band_margin,
-            backend=self.kernels)
+            band_margin=self.fidelity.viterbi_band_margin)
         self._runner = StageRunner(default_epoch_stages(),
                                    default_stream_stages(),
                                    observers=observers)
@@ -220,8 +206,7 @@ class LFDecoder:
         ctx = DecodeContext(trace, self.config, self._rng,
                             self.edge_detector, self.viterbi,
                             self.fidelity, stats, session=session,
-                            sample_offset=sample_offset,
-                            kernels=self.kernels)
+                            sample_offset=sample_offset)
         ctx.runner = self._runner
         self._runner.run_epoch(ctx)
         stats.add_time("total", time.perf_counter() - t0)

@@ -27,8 +27,8 @@ import numpy as np
 from ..errors import CollisionUnresolvableError, ConfigurationError, \
     DecodeError
 from ..utils.rng import SeedLike, make_rng
+from . import kernels
 from .clustering import _kmeans_pp_init, _lloyd_batched, kmeans
-from .kernels import KernelBackend, get_backend
 
 #: The nine (a, b) lattice coordinates in a fixed order.
 LATTICE_COORDS: Tuple[Tuple[int, int], ...] = tuple(
@@ -70,8 +70,7 @@ def _lattice_points(e1: complex, e2: complex) -> np.ndarray:
     return _LATTICE_A * e1 + _LATTICE_B * e2
 
 
-def _match_error(centroids: np.ndarray, lattice: np.ndarray,
-                 backend: Optional[KernelBackend] = None) -> float:
+def _match_error(centroids: np.ndarray, lattice: np.ndarray) -> float:
     """Mean distance of a one-to-one greedy matching centroids<->lattice.
 
     The greedy pass preserves the reference tie-break (first remaining
@@ -79,32 +78,26 @@ def _match_error(centroids: np.ndarray, lattice: np.ndarray,
     """
     cents = np.asarray(centroids, dtype=np.complex128).ravel()
     lat = np.asarray(lattice, dtype=np.complex128).ravel()
-    return float(_match_errors_batch(cents, lat[None, :],
-                                     backend=backend)[0])
+    return float(_match_errors_batch(cents, lat[None, :])[0])
 
 
 def _match_errors_batch(cents: np.ndarray,
-                        lattices: np.ndarray,
-                        backend: Optional[KernelBackend] = None
-                        ) -> np.ndarray:
+                        lattices: np.ndarray) -> np.ndarray:
     """Greedy matching error of ``cents`` against many lattices at once.
 
     ``lattices`` is (P, m); the return is (P,) mean matching
-    distances.  The arithmetic lives in the kernel backend's
-    ``lattice_match_errors`` (:mod:`repro.core.kernels`), which runs
-    the greedy assignment batched across every lattice while keeping
-    the serial tie-break (first remaining centroid in index order
-    wins).
+    distances.  The arithmetic lives in
+    :func:`repro.core.kernels.lattice_match_errors`, which runs the
+    greedy assignment batched across every lattice while keeping the
+    serial tie-break (first remaining centroid in index order wins).
     """
-    kern = backend if backend is not None else get_backend()
-    return kern.lattice_match_errors(
+    return kernels.lattice_match_errors(
         np.asarray(cents, dtype=np.complex128),
         np.asarray(lattices, dtype=np.complex128))
 
 
 def basis_from_lattice_fit(centroids: np.ndarray,
-                           min_parallelism: float = 0.15,
-                           backend: Optional[KernelBackend] = None
+                           min_parallelism: float = 0.15
                            ) -> Tuple[complex, complex, float]:
     """Recover (e1, e2) by exhaustive basis search over centroid pairs.
 
@@ -140,7 +133,7 @@ def basis_from_lattice_fit(centroids: np.ndarray,
                "(tag IQ vectors are parallel)")
     lattices = (u[valid, None] * _LATTICE_A[None, :]
                 + v[valid, None] * _LATTICE_B[None, :])
-    errors = _match_errors_batch(cents, lattices, backend=backend)
+    errors = _match_errors_batch(cents, lattices)
     best = int(np.argmin(errors))
     return (complex(u[valid][best]), complex(v[valid][best]),
             float(errors[best]))
@@ -234,8 +227,7 @@ def separate_two_way(differentials: np.ndarray,
                      method: str = "lattice_fit",
                      centroid_hint: Optional[np.ndarray] = None,
                      basis_hint: Optional[Tuple[complex, complex]] = None,
-                     basis_tolerance: float = 0.25,
-                     backend: Optional[KernelBackend] = None
+                     basis_tolerance: float = 0.25
                      ) -> SeparationResult:
     """Split a two-way collided stream into per-tag edge observations.
 
@@ -258,14 +250,13 @@ def separate_two_way(differentials: np.ndarray,
             2, f"only {pts.size} differentials; need >= 9 to fit the "
                "collision lattice")
     fit = kmeans(pts, 9, rng=rng, n_init=6,
-                 init_centroids=centroid_hint, backend=backend)
+                 init_centroids=centroid_hint)
     basis_cached = False
     e1 = e2 = None
     err = 0.0
     if basis_hint is not None:
         h1, h2 = complex(basis_hint[0]), complex(basis_hint[1])
-        hint_err = _match_error(fit.centroids, _lattice_points(h1, h2),
-                                backend=backend)
+        hint_err = _match_error(fit.centroids, _lattice_points(h1, h2))
         scale = float(np.max(np.abs(fit.centroids)))
         if scale > 0 and hint_err <= basis_tolerance * scale:
             e1, e2, err = h1, h2, hint_err
@@ -277,14 +268,12 @@ def separate_two_way(differentials: np.ndarray,
             # seed is suspect too, so the cold recovery must run on a
             # cold fan-out fit — a stale cache degrades to the exact
             # cold behaviour, never to a poisoned one.
-            fit = kmeans(pts, 9, rng=rng, n_init=6, backend=backend)
+            fit = kmeans(pts, 9, rng=rng, n_init=6)
         if method == "lattice_fit":
-            e1, e2, err = basis_from_lattice_fit(fit.centroids,
-                                                 backend=backend)
+            e1, e2, err = basis_from_lattice_fit(fit.centroids)
         elif method == "collinear_midpoints":
             e1, e2 = basis_from_collinear_midpoints(fit.centroids)
-            err = _match_error(fit.centroids, _lattice_points(e1, e2),
-                               backend=backend)
+            err = _match_error(fit.centroids, _lattice_points(e1, e2))
         else:
             raise ConfigurationError(
                 f"unknown separation method {method!r}; expected "
@@ -300,8 +289,7 @@ def separate_collinear(differentials: np.ndarray,
                        rng: SeedLike = None,
                        min_scale_ratio: float = 1.35,
                        n_init: int = 6,
-                       init_levels: Optional[np.ndarray] = None,
-                       backend: Optional[KernelBackend] = None
+                       init_levels: Optional[np.ndarray] = None
                        ) -> SeparationResult:
     """Separate a two-way collision whose edge vectors are (anti)parallel.
 
@@ -343,10 +331,9 @@ def separate_collinear(differentials: np.ndarray,
                            dtype=np.complex128).ravel()
         cold = _kmeans_pp_init(pr, 9, 1, make_rng(rng))
         fit = _lloyd_batched(pr, np.vstack([seeds[None, :],
-                                            -seeds[None, :], cold]),
-                             backend=backend)
+                                            -seeds[None, :], cold]))
     else:
-        fit = kmeans(pr, 9, rng=rng, n_init=n_init, backend=backend)
+        fit = kmeans(pr, 9, rng=rng, n_init=n_init)
     centroids = np.sort(fit.centroids.real)
     scale = float(np.max(np.abs(centroids)))
     if scale <= 0:
@@ -386,7 +373,7 @@ def separate_collinear(differentials: np.ndarray,
             2, "collinear magnitudes too similar to label")
     errs = _match_errors_batch(
         centroids.astype(np.complex128),
-        lattices[clean].astype(np.complex128), backend=backend)
+        lattices[clean].astype(np.complex128))
     win = int(np.argmin(errs))
     s1 = float(s1s[ok][clean][win])
     s2 = float(s2s[ok][clean][win])

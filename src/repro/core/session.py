@@ -42,8 +42,6 @@ from ..errors import ConfigurationError
 from .clustering import KMeansResult
 from .collision import scatter_planarity
 from .separation import _LATTICE_A, _LATTICE_B
-# Canonical home of the counter keys and the merge semantics is the
-# stats layer; re-exported here for compatibility.
 from .stages.stats import CACHE_STAT_KEYS, StatsAccumulator
 
 
@@ -524,15 +522,3 @@ class SessionState:
             if per_point > self.config.inertia_blowup * floor:
                 return True
         return False
-
-
-def __getattr__(name: str):
-    # Lazy re-export: SessionDecoder moved to session_decoder.py (it
-    # sits above the pipeline in the import graph, this module below).
-    # PEP 562 keeps ``from repro.core.session import SessionDecoder``
-    # working without a module-scope import cycle.
-    if name == "SessionDecoder":
-        from .session_decoder import SessionDecoder
-        return SessionDecoder
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

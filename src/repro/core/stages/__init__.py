@@ -27,7 +27,7 @@ from .projection import (hold_cluster_noise, looks_multilevel,
                          project_single, project_single_scaled)
 from .separation import (SeparationStage, decode_collided,
                          decode_collinear)
-from .stats import CACHE_STAT_KEYS, StatsAccumulator, worse_health
+from .stats import StatsAccumulator, worse_health
 from .tracking import StreamsStage, TrackStage
 
 
@@ -44,8 +44,8 @@ def default_stream_stages() -> List[Stage]:
 
 
 __all__ = [
-    "AnalogFallbackStage", "AnchorStage", "CACHE_STAT_KEYS",
-    "CollisionStage", "DecodeContext", "DedupStage", "EdgeStage",
+    "AnalogFallbackStage", "AnchorStage", "CollisionStage",
+    "DecodeContext", "DedupStage", "EdgeStage",
     "EqualizerStage", "FoldStage", "GuardStage", "SeparationStage",
     "Stage",
     "StageObserver", "StageRunner", "StatsAccumulator", "StreamScope",

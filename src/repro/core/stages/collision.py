@@ -92,8 +92,7 @@ class CollisionStage:
                     ctx.bump("kmeans_misses")
                 else:
                     three = kmeans(diffs.ravel(), 3, rng=ctx.rng,
-                                   init_centroids=tracker.centroids[3],
-                                   backend=ctx.kernels)
+                                   init_centroids=tracker.centroids[3])
                     if session.warm_fit_blown(tracker.inertia_pp,
                                               {3: three}, keys=(3,)):
                         scope.trusted = False
@@ -147,8 +146,7 @@ class CollisionStage:
                     rng=ctx.rng, centroid_hints=hints,
                     fits_out=scope.fits, policy=ctx.fidelity,
                     stats=ctx.stats.fidelity, warm=warm_vouched,
-                    cache_fast_fit=session is not None,
-                    backend=ctx.kernels)
+                    cache_fast_fit=session is not None)
                 if hints is not None:
                     if session.warm_fit_blown(tracker.inertia_pp,
                                               scope.fits, keys=(9,)):
@@ -163,8 +161,7 @@ class CollisionStage:
                             diffs, noise_scale=noise_scale,
                             rng=ctx.rng, fits_out=scope.fits,
                             policy=ctx.fidelity,
-                            stats=ctx.stats.fidelity,
-                            backend=ctx.kernels)
+                            stats=ctx.stats.fidelity)
                     else:
                         ctx.bump("kmeans_hits")
                         session.note_warm_success(tracker)

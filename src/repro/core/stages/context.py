@@ -44,7 +44,6 @@ from ...types import (DecodedStream, DetectedEdge, EpochResult,
 from ..clustering import KMeansResult
 from ..collision import CollisionReport
 from ..folding import FoldingConfig
-from ..kernels import KernelBackend, get_backend
 from ..streams import StreamTrack
 from .stats import StatsAccumulator
 
@@ -113,8 +112,7 @@ class DecodeContext:
                  fidelity: "FidelityPolicy",
                  stats: StatsAccumulator,
                  session: Optional["SessionState"] = None,
-                 sample_offset: float = 0.0,
-                 kernels: Optional[KernelBackend] = None):
+                 sample_offset: float = 0.0):
         self.trace = trace
         self.config = config
         self.rng = rng
@@ -124,9 +122,6 @@ class DecodeContext:
         self.stats = stats
         self.session = session
         self.sample_offset = sample_offset
-        #: Kernel backend shared by every stage of this decode.
-        self.kernels: KernelBackend = (kernels if kernels is not None
-                                       else get_backend())
         self.result = EpochResult(duration_s=trace.duration_s)
         #: The runner executing this context's decode — set by the
         #: decoder before the epoch starts.  Epoch-level driver stages

@@ -17,7 +17,6 @@ import numpy as np
 
 from ...errors import DecodeError
 from ..clustering import KMeansResult, kmeans
-from ..kernels import KernelBackend
 
 
 def project_single(differentials: np.ndarray) -> np.ndarray:
@@ -83,8 +82,7 @@ def looks_multilevel(observations: np.ndarray,
                          Dict[int, np.ndarray]] = None,
                      fits_out: Optional[
                          Dict[int, KMeansResult]] = None,
-                     n_init: int = 3,
-                     backend: Optional[KernelBackend] = None) -> bool:
+                     n_init: int = 3) -> bool:
     """True when a stream's 1-D projection has more than three levels.
 
     A lone tag's projection clusters at {-1, 0, +1}; a collinear
@@ -101,9 +99,9 @@ def looks_multilevel(observations: np.ndarray,
     hints = centroid_hints or {}
     pts = obs.astype(np.complex128)
     three = kmeans(pts, 3, rng=rng, n_init=n_init,
-                   init_centroids=hints.get(3), backend=backend)
+                   init_centroids=hints.get(3))
     nine = kmeans(pts, 9, rng=rng, n_init=n_init,
-                  init_centroids=hints.get(9), backend=backend)
+                  init_centroids=hints.get(9))
     if fits_out is not None:
         fits_out[3] = three
         fits_out[9] = nine

@@ -69,8 +69,7 @@ def decode_collided(ctx: DecodeContext, track: StreamTrack,
             centroid_hint=centroid_hint,
             basis_hint=basis_hint,
             basis_tolerance=(session.config.basis_tolerance
-                             if session is not None else 0.25),
-            backend=ctx.kernels)
+                             if session is not None else 0.25))
         if centroid_hint is not None and not seeded:
             ctx.bump("kmeans_hits")
         if basis_hint is not None:
@@ -82,8 +81,7 @@ def decode_collided(ctx: DecodeContext, track: StreamTrack,
             # The within-epoch seed may have trapped Lloyd in a bad
             # optimum; retry cold before declaring a false positive.
             with ctx.stats.stage("separate"):
-                separation = separate_two_way(diffs, rng=ctx.rng,
-                                              backend=ctx.kernels)
+                separation = separate_two_way(diffs, rng=ctx.rng)
             scale = max(abs(separation.e1), abs(separation.e2))
     if scale <= 0 or separation.lattice_error > 0.35 * scale:
         raise DecodeError(
@@ -119,8 +117,7 @@ def decode_collinear(ctx: DecodeContext, diffs: np.ndarray,
         with ctx.stats.stage("separate"):
             separation = separate_collinear(
                 diffs, rng=rng, n_init=3 if adaptive else 6,
-                init_levels=level_hint if adaptive else None,
-                backend=ctx.kernels)
+                init_levels=level_hint if adaptive else None)
     except (DecodeError, ConfigurationError):
         return []
     streams = []
@@ -173,8 +170,7 @@ class SeparationStage:
             with ctx.stats.stage("detect"):
                 three = kmeans(observations.astype(np.complex128), 3,
                                rng=ctx.rng,
-                               init_centroids=tracker.proj_centroids[3],
-                               backend=ctx.kernels)
+                               init_centroids=tracker.proj_centroids[3])
                 if session.warm_fit_blown(tracker.proj_inertia_pp,
                                           {3: three}, keys=(3,)):
                     scope.trusted = False
@@ -212,8 +208,7 @@ class SeparationStage:
                 multilevel = (can_check and looks_multilevel(
                     observations, dec_rng,
                     centroid_hints=proj_hints,
-                    fits_out=proj_fits, n_init=ml_init,
-                    backend=ctx.kernels))
+                    fits_out=proj_fits, n_init=ml_init))
                 if proj_hints is not None and proj_fits:
                     if session.warm_fit_blown(tracker.proj_inertia_pp,
                                               proj_fits, keys=(3,)):
@@ -223,8 +218,7 @@ class SeparationStage:
                         scope.proj_fits = proj_fits = {}
                         multilevel = looks_multilevel(
                             observations, dec_rng,
-                            fits_out=proj_fits, n_init=ml_init,
-                            backend=ctx.kernels)
+                            fits_out=proj_fits, n_init=ml_init)
                     else:
                         ctx.bump("kmeans_hits")
                         session.note_warm_success(tracker)

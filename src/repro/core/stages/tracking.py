@@ -27,6 +27,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from .. import kernels
 from ..edges import refine_window_bounds
 from ..kernels.soa import pack_ragged
 from ..streams import (StreamTrack, edge_position_array,
@@ -75,7 +76,7 @@ def _batch_extract(ctx: DecodeContext
         # Pad lanes get the trivial [0, 1) window: always non-empty,
         # never divides by zero, and sliced away on unpack.
         for batch in pack_ragged(rows, pad_values=(0, 1, 0, 1)):
-            flat = ctx.kernels.edge_differentials(
+            flat = kernels.edge_differentials(
                 csum, *(col.ravel() for col in batch.columns))
             for r, diffs in batch.unpack(flat):
                 idx = row_of[r]

@@ -170,7 +170,7 @@ def read_grid_differentials(trace: IQTrace, track: StreamTrack,
             merge_radius=cfg.merge_radius,
             max_refine_window=cfg.max_refine_window
             if window_override is None else window_override,
-        ), backend=det.backend)
+        ))
     grid = np.minimum(np.maximum(
         np.rint(track.grid_positions()).astype(np.int64), 0),
         len(trace) - 1)

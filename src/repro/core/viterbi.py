@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..types import EdgePolarity
-from .kernels import KernelBackend, get_backend
+from . import kernels
 
 RISE, FALL, HOLD_HIGH, HOLD_LOW = 0, 1, 2, 3
 
@@ -101,8 +101,7 @@ class ViterbiDecoder:
     def __init__(self, p_flip: float = 0.5,
                  sigma: Optional[float] = None,
                  banded: bool = False,
-                 band_margin: float = 1e-9,
-                 backend: Optional[KernelBackend] = None):
+                 band_margin: float = 1e-9):
         self.p_flip = p_flip
         self.sigma = sigma
         if sigma is not None and sigma <= 0:
@@ -111,18 +110,10 @@ class ViterbiDecoder:
             raise ConfigurationError("band_margin must be >= 0")
         self.banded = banded
         self.band_margin = band_margin
-        #: Kernel backend for the trellis recursions; ``None`` defers
-        #: to the process default at call time.
-        self.backend = backend
         #: Optional fidelity counter dict; when set, every decode
         #: increments ``viterbi_banded`` or ``viterbi_exact``.
         self.stats: Optional[Dict[str, int]] = None
         self._log_trans = _transition_matrix(p_flip)
-
-    @property
-    def kernels(self) -> KernelBackend:
-        return self.backend if self.backend is not None \
-            else get_backend()
 
     def fit_flip_probability(self,
                              bit_sequences: Sequence[np.ndarray]) -> float:
@@ -185,7 +176,7 @@ class ViterbiDecoder:
                 f"invalid initial state {initial_state}")
         lf = float(self._log_trans[RISE, FALL])       # log p_flip
         lh = float(self._log_trans[RISE, HOLD_HIGH])  # log (1 - p_flip)
-        return self.kernels.viterbi_exact(
+        return kernels.viterbi_exact(
             obs, sigma, lf, lh,
             -1 if initial_state is None else int(initial_state))
 
@@ -216,7 +207,7 @@ class ViterbiDecoder:
         band = sigma * sigma * abs(
             math.log(self.p_flip) - math.log(1.0 - self.p_flip))
         start_high = initial_state in (FALL, HOLD_HIGH)
-        return self.kernels.viterbi_banded(
+        return kernels.viterbi_banded(
             obs, band + self.band_margin, start_high,
             -1 if initial_state is None else int(initial_state))
 

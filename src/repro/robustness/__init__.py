@@ -38,9 +38,7 @@ from .impairments import (
 # path's guard stage imports this package — an eager import here would
 # be circular.
 _LAZY = {
-    "Scenario": "scenarios",
     "SCENARIOS": "scenarios",
-    "build_scenario_capture": "scenarios",
     "SurvivalCell": "survival",
     "SurvivalMatrix": "survival",
     "classify_decode": "survival",
@@ -78,9 +76,7 @@ __all__ = [
     "apply_impairments",
     "impair_capture",
     "random_cocktail",
-    "Scenario",
     "SCENARIOS",
-    "build_scenario_capture",
     "SurvivalCell",
     "SurvivalMatrix",
     "classify_decode",

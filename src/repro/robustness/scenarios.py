@@ -1,81 +1,52 @@
 """Named, reproducible channel scenarios for the survival sweep.
 
-A :class:`Scenario` bundles everything needed to regenerate one
-deterministic impaired epoch: the tag population, the simulation seed,
-and the impairment cocktail (applied through the truth-preserving
-:func:`repro.robustness.impairments.impair_capture`, with the
-scenario's own seed).  The registry spans the regimes the ROADMAP
+Each entry is a :class:`~repro.experiments.scenario.ScenarioSpec`
+naming one deterministic impaired epoch: the tag population, the
+simulation seed, and the impairment cocktail (applied through the
+truth-preserving :func:`repro.robustness.impairments.impair_capture`,
+with the spec's own seed).  The registry spans the regimes the ROADMAP
 calls for — flat baselines, dense-reflector rooms, cluttered spaces,
 corridor propagation, fast mobility, swept interference and a mixed
 cocktail — at tag densities where the edge-differential front end
 ranges from comfortable to broken.
 
 :mod:`repro.robustness.survival` sweeps this registry against decoder
-configurations and classifies each cell; the scenario definitions stay
-here so tests and benchmarks can regenerate any single cell without
-running the whole sweep.
+configurations and classifies each cell; tests and benchmarks
+regenerate any single cell with
+:func:`repro.experiments.scenario.build_capture`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
-from ..reader.epoch import EpochCapture
-from ..types import SimulationProfile
-from .impairments import (Impairment, MultipathChannel, SweptInterferer,
-                          TagMobility)
+from ..experiments.scenario import ScenarioSpec
+from .impairments import MultipathChannel, SweptInterferer, TagMobility
 
-__all__ = ["Scenario", "SCENARIOS", "build_scenario_capture"]
+__all__ = ["SCENARIOS"]
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One reproducible channel condition for the survival matrix."""
-
-    name: str
-    description: str
-    n_tags: int
-    #: Impairments applied to the clean capture (may be empty for the
-    #: flat baselines); randomness inside them draws from ``seed``.
-    impairments: Tuple[Impairment, ...] = ()
-    #: Seeds the simulation (tag data, coefficients, noise) and the
-    #: impairment draw; one scenario is one exact capture.
-    seed: int = 42
-    epoch_seconds: float = 0.01
-    noise_std: float = 0.01
-
-    def to_spec(self):
-        """This scenario as a :class:`ScenarioSpec` (same waveform)."""
-        from ..experiments.scenario import ScenarioSpec
-        return ScenarioSpec(
-            name=self.name, n_tags=self.n_tags, bitrate_bps=10e3,
-            noise_std=self.noise_std, impairments=self.impairments,
-            epoch_s=self.epoch_seconds, seed=self.seed,
-            description=self.description)
-
-
-def _hallway(n_tags: int, name: str, blurb: str) -> Scenario:
-    return Scenario(
-        name=name, description=blurb, n_tags=n_tags,
+def _hallway(n_tags: int, name: str, blurb: str) -> ScenarioSpec:
+    return ScenarioSpec(
+        name=name, description=blurb, n_tags=n_tags, bitrate_bps=10e3,
         impairments=(MultipathChannel(preset="hallway"),))
 
 
 #: The registry the survival sweep iterates, in presentation order.
-SCENARIOS: Tuple[Scenario, ...] = (
-    Scenario(
-        name="flat_6", n_tags=6,
+SCENARIOS: Tuple[ScenarioSpec, ...] = (
+    ScenarioSpec(
+        name="flat_6", n_tags=6, bitrate_bps=10e3,
         description="Flat channel, light load — the paper's regime."),
-    Scenario(
-        name="flat_14", n_tags=14,
+    ScenarioSpec(
+        name="flat_14", n_tags=14, bitrate_bps=10e3,
         description="Flat channel at high tag density."),
-    Scenario(
-        name="room_10", n_tags=10, seed=7,
+    ScenarioSpec(
+        name="room_10", n_tags=10, bitrate_bps=10e3, seed=7,
         impairments=(MultipathChannel(preset="room"),),
         description="Dense-reflector room: many weak early echoes "
                     "(~15% of a bit period)."),
-    Scenario(
-        name="clutter_14", n_tags=14,
+    ScenarioSpec(
+        name="clutter_14", n_tags=14, bitrate_bps=10e3,
         impairments=(MultipathChannel(preset="exponential"),),
         description="Cluttered space at high density: exponential "
                     "power-delay profile, ~25% of a bit period."),
@@ -85,35 +56,21 @@ SCENARIOS: Tuple[Scenario, ...] = (
     _hallway(14, "hallway_14",
              "Corridor propagation at high density — the regime the "
              "equalizer pre-stage exists for."),
-    Scenario(
-        name="mobility_10", n_tags=10,
+    ScenarioSpec(
+        name="mobility_10", n_tags=10, bitrate_bps=10e3,
         impairments=(TagMobility(),),
         description="Fast bulk mobility: Doppler-style phase drift "
                     "plus pattern fading."),
-    Scenario(
-        name="swept_10", n_tags=10,
+    ScenarioSpec(
+        name="swept_10", n_tags=10, bitrate_bps=10e3,
         impairments=(SweptInterferer(amplitude=0.2, max_run=6000),),
         description="Frequency-hopping neighbour sweeping through "
                     "the band."),
-    Scenario(
-        name="mixed_12", n_tags=12,
+    ScenarioSpec(
+        name="mixed_12", n_tags=12, bitrate_bps=10e3,
         impairments=(MultipathChannel(preset="room"), TagMobility(),
                      SweptInterferer(amplitude=0.25, max_run=4000)),
         description="Room multipath + mobility + swept interference "
                     "at once."),
 )
 
-
-def build_scenario_capture(scenario: Scenario,
-                           profile: SimulationProfile = None
-                           ) -> EpochCapture:
-    """Regenerate a scenario's exact impaired capture.
-
-    Delegates to the unified scenario factory
-    (:mod:`repro.experiments.scenario`), which implements the same
-    construction this module used to hand-roll — same coefficient
-    draw, same seeding discipline — so survival-matrix cells, tests
-    and the signoff suite all talk about the same waveform.
-    """
-    from ..experiments.scenario import build_capture
-    return build_capture(scenario.to_spec(), profile=profile)

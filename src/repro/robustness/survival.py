@@ -32,8 +32,9 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.throughput import match_streams, score_epoch
 from ..core.pipeline import LFDecoder, LFDecoderConfig
+from ..experiments.scenario import ScenarioSpec, build_capture
 from ..types import SimulationProfile
-from .scenarios import SCENARIOS, Scenario, build_scenario_capture
+from .scenarios import SCENARIOS
 
 __all__ = ["DECODER_CONFIGS", "SurvivalCell", "SurvivalMatrix",
            "classify_decode", "run_survival_matrix"]
@@ -106,9 +107,10 @@ def classify_decode(matched: int, n_tags: int,
     return "degraded"
 
 
-def _decode_cell(scenario: Scenario, config_kwargs: Dict[str, object],
+def _decode_cell(scenario: ScenarioSpec,
+                 config_kwargs: Dict[str, object],
                  profile: SimulationProfile) -> SurvivalCell:
-    capture = build_scenario_capture(scenario, profile)
+    capture = build_capture(scenario, profile)
     decoder = LFDecoder(
         LFDecoderConfig(candidate_bitrates_bps=[10e3],
                         profile=profile, **config_kwargs),
@@ -130,7 +132,7 @@ def _decode_cell(scenario: Scenario, config_kwargs: Dict[str, object],
                                and getattr(report, "applied", False)))
 
 
-def run_survival_matrix(scenarios: Sequence[Scenario] = SCENARIOS,
+def run_survival_matrix(scenarios: Sequence[ScenarioSpec] = SCENARIOS,
                         profile: Optional[SimulationProfile] = None
                         ) -> SurvivalMatrix:
     """Sweep scenarios × decoder configs into a survival matrix."""

@@ -354,7 +354,7 @@ class EpochResult:
     #: Warm-cache hit/miss counters per stage (``fold_hits``,
     #: ``fold_misses``, ``kmeans_hits``, ``kmeans_misses``,
     #: ``basis_hits``, ``basis_misses``), filled when the epoch was
-    #: decoded through a :class:`repro.core.session.SessionDecoder`;
+    #: decoded through a :class:`repro.core.session_decoder.SessionDecoder`;
     #: empty for cold (stateless) decodes.
     cache_stats: Dict[str, int] = field(default_factory=dict)
     #: Fidelity-gate counters for the adaptive decode path (see

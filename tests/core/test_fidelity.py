@@ -14,13 +14,6 @@ class TestPolicyFlags:
     def test_force_full_deactivates(self):
         assert not FidelityPolicy(force_full=True).active
 
-    def test_disabled_deactivates(self):
-        assert not FidelityPolicy(enabled=False).active
-
-    def test_full_constructor_matches_force_full(self):
-        assert FidelityPolicy.full() == FidelityPolicy(force_full=True)
-        assert not FidelityPolicy.full().active
-
     def test_policy_is_frozen(self):
         with pytest.raises(AttributeError):
             FidelityPolicy().pregate = False

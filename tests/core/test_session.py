@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core import LFDecoder, LFDecoderConfig, SessionDecoder
-from repro.core.session import (SessionConfig, SessionState,
-                                StreamTracker, CACHE_STAT_KEYS)
+from repro.core.session import SessionConfig, SessionState, StreamTracker
+from repro.core.stages.stats import CACHE_STAT_KEYS
 from repro.errors import ConfigurationError
 from repro.phy.channel import ChannelModel, random_coefficients
 from repro.reader.simulator import NetworkSimulator

@@ -6,7 +6,7 @@ bits, alignment, rate, collision flag and confidence, hashed with
 SHA-256 over their raw bytes — for each decode entry point (cold
 ``LFDecoder``, warm ``SessionDecoder``, ``BatchDecoder``, and
 ``decode_chunked`` with and without a session) under each fidelity
-mode (adaptive, ``force_full``, ``enabled=False``).
+mode (adaptive, ``force_full``).
 
 ``tests/integration/test_stage_equivalence.py`` compares fresh decodes
 against the stored digests: any refactor of the decode path that is
@@ -84,13 +84,12 @@ def compute_digests() -> dict:
     from repro.core.engine import BatchDecoder
     from repro.core.fidelity import FidelityPolicy
     from repro.core.pipeline import LFDecoder, LFDecoderConfig
-    from repro.core.session import SessionDecoder
+    from repro.core.session_decoder import SessionDecoder
     from repro.reader.batch import decode_chunked
 
     policies = {
         "adaptive": None,
         "force_full": FidelityPolicy(force_full=True),
-        "disabled": FidelityPolicy(enabled=False),
     }
     digests: dict = {}
 

@@ -71,7 +71,6 @@ class TestObserverZeroCost:
     @pytest.mark.parametrize("name,policy", [
         ("adaptive", None),
         ("force_full", FidelityPolicy(force_full=True)),
-        ("disabled", FidelityPolicy(enabled=False)),
     ])
     def test_observed_cold_decode_matches_golden(self, fixture, name,
                                                  policy):

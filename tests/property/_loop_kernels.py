@@ -1,12 +1,11 @@
-"""Loop-form kernel bodies for the numba backend.
+"""Loop-form oracles for the decoder's numeric kernels.
 
-Each function here is the scalar-loop formulation of one reference
-kernel, written in the numba-``njit``-supported subset of Python — but
-the module itself imports *nothing* beyond numpy and math, so the
-bodies run (slowly) as plain Python too.  That keeps the logic
-property-testable against the reference backend even on machines
-without numba; the CI numba matrix job additionally exercises the
-compiled forms.
+Each function here is the scalar-loop formulation of one kernel in
+:mod:`repro.core.kernels.reference`, written independently of it
+(explicit loops over points, restarts and trellis steps instead of
+numpy broadcasting) and importing nothing beyond numpy and math.  The
+property suite fuzzes the numpy kernels against these bodies; nothing
+else checks them against a second implementation.
 
 Equivalence contract (see ``tests/property/test_kernel_equivalence``):
 labels, states, picks and differentials are exactly equal to the
@@ -113,13 +112,13 @@ def lloyd_batched(pts, cents, max_iter, tol):
 
 
 def bounded_lloyd(pts, cents, max_iter, tol):
-    """Single-restart Lloyd — the bounded kernel's JIT counterpart.
+    """Single-restart Lloyd — the bounded kernel's loop counterpart.
 
-    The Hamerly bounds in the reference backend only prune numpy
-    distance work; a compiled plain iteration follows the identical
-    assignment trajectory (the bounded form is property-tested
-    bit-identical to it), so the JIT backend just runs
-    :func:`lloyd_batched` with one restart.
+    The Hamerly bounds in the reference kernel only prune numpy
+    distance work; a plain iteration follows the identical assignment
+    trajectory (the bounded form is property-tested bit-identical to
+    it), so the loop form just runs :func:`lloyd_batched` with one
+    restart.
     """
     work = cents.reshape(1, cents.shape[0])
     return lloyd_batched(pts, work, max_iter, tol)

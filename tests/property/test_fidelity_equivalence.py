@@ -111,27 +111,11 @@ def _decode_streams(profile, capture, policy):
 
 
 class TestForceFullReproducesLegacy:
-    def test_force_full_bit_identical_to_disabled(self, six_tag_capture):
-        """``force_full=True`` and ``enabled=False`` must run the same
-        code paths and consume the same RNG stream: every decoded
-        stream matches bit-for-bit, including alignment metadata."""
-        profile, capture = six_tag_capture
-        full = _decode_streams(profile, capture,
-                               FidelityPolicy(force_full=True))
-        legacy = _decode_streams(profile, capture,
-                                 FidelityPolicy(enabled=False))
-        assert len(full) == len(legacy)
-        for a, b in zip(full, legacy):
-            np.testing.assert_array_equal(a.bits, b.bits)
-            assert a.offset_samples == b.offset_samples
-            assert a.period_samples == b.period_samples
-            assert a.collided == b.collided
-
     def test_force_full_reports_no_fast_path_hits(self, six_tag_capture):
         profile, capture = six_tag_capture
         decoder = LFDecoder(LFDecoderConfig(
             candidate_bitrates_bps=[10e3], profile=profile,
-            fidelity=FidelityPolicy.full()), rng=1)
+            fidelity=FidelityPolicy(force_full=True)), rng=1)
         result = decoder.decode_epoch(capture.trace)
         stats = result.fidelity_stats
         assert stats["pregate_fast"] == 0
@@ -146,7 +130,8 @@ class TestForceFullReproducesLegacy:
         full decoder recovers error-free must also come back error-free
         from the adaptive decoder."""
         profile, capture = six_tag_capture
-        full = _decode_streams(profile, capture, FidelityPolicy.full())
+        full = _decode_streams(profile, capture,
+                               FidelityPolicy(force_full=True))
         adaptive = _decode_streams(profile, capture, FidelityPolicy())
 
         def best_ber(streams, truth_bits):

@@ -1,39 +1,26 @@
-"""Backend-equivalence properties of the kernel seam.
+"""The numpy kernels agree with independent loop-form oracles.
 
-The kernel backends must be numerically interchangeable: the loop-form
-bodies in ``repro.core.kernels._jit_impl`` (which numba compiles when
-the ``[jit]`` extra is installed, and which run as plain Python here)
-are fuzzed against the pure-numpy reference kernels on randomized
-shapes, including empty and degenerate inputs.  Integer outputs —
-labels, states, picks, differential gathers — must be exactly equal;
-accumulated floats (inertias, match errors) may differ only by
-summation order.
+The loop-form bodies in ``tests/property/_loop_kernels.py`` are fuzzed
+against the pure-numpy kernels of :mod:`repro.core.kernels` on
+randomized shapes, including empty and degenerate inputs.  Integer
+outputs — labels, states, picks, differential gathers — must be
+exactly equal; accumulated floats (inertias, match errors) may differ
+only by summation order.
 
 The struct-of-arrays packing contract is fuzzed too: pad lanes must
 never perturb live-lane results, and unpacking must return exactly the
 per-row kernel output.
-
-When numba *is* installed (the CI matrix job), the same properties run
-against the compiled backend as well.
 """
 
-import importlib.util
-import warnings
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.kernels as kernels_mod
-from repro.core.kernels import (ENV_VAR, available_backends,
-                                get_backend, resolve_backend)
-from repro.core.kernels import _jit_impl as jit
+from repro.core.kernels import get_backend
 from repro.core.kernels import reference as ref
-from repro.core.kernels.soa import SoABatch, length_class, pack_ragged
-from repro.errors import ConfigurationError
+from repro.core.kernels.soa import length_class, pack_ragged
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
+from . import _loop_kernels as loop
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -69,11 +56,11 @@ def test_lloyd_batched_matches_reference(seed, n, k, restarts):
     cents = (rng.standard_normal((restarts, k))
              + 1j * rng.standard_normal((restarts, k)))
     c_ref, l_ref, i_ref = ref.lloyd_batched(pts, cents.copy())
-    c_jit, l_jit, i_jit = jit.lloyd_batched(pts, cents.copy(), 100,
-                                            1e-10)
-    np.testing.assert_array_equal(l_ref, l_jit)
-    np.testing.assert_allclose(c_ref, c_jit, rtol=1e-9, atol=1e-12)
-    assert np.isclose(i_ref, i_jit, rtol=1e-9, atol=1e-12)
+    c_loop, l_loop, i_loop = loop.lloyd_batched(pts, cents.copy(),
+                                                100, 1e-10)
+    np.testing.assert_array_equal(l_ref, l_loop)
+    np.testing.assert_allclose(c_ref, c_loop, rtol=1e-9, atol=1e-12)
+    assert np.isclose(i_ref, i_loop, rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,11 +70,11 @@ def test_bounded_lloyd_matches_reference(seed, n, k):
     pts = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     cents = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     c_ref, l_ref, i_ref = ref.bounded_lloyd(pts, cents.copy())
-    c_jit, l_jit, i_jit = jit.bounded_lloyd(pts, cents.copy(), 100,
-                                            1e-10)
-    np.testing.assert_array_equal(l_ref, l_jit)
-    np.testing.assert_allclose(c_ref, c_jit, rtol=1e-9, atol=1e-12)
-    assert np.isclose(i_ref, i_jit, rtol=1e-9, atol=1e-12)
+    c_loop, l_loop, i_loop = loop.bounded_lloyd(pts, cents.copy(),
+                                                100, 1e-10)
+    np.testing.assert_array_equal(l_ref, l_loop)
+    np.testing.assert_allclose(c_ref, c_loop, rtol=1e-9, atol=1e-12)
+    assert np.isclose(i_ref, i_loop, rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,8 +102,8 @@ def test_lattice_match_errors_match_reference(seed, n, n_lat, m):
     lattices = (rng.standard_normal((n_lat, m))
                 + 1j * rng.standard_normal((n_lat, m)))
     e_ref = ref.lattice_match_errors(cents, lattices)
-    e_jit = jit.lattice_match_errors(cents, lattices)
-    np.testing.assert_allclose(e_ref, e_jit, rtol=1e-9, atol=1e-12)
+    e_loop = loop.lattice_match_errors(cents, lattices)
+    np.testing.assert_allclose(e_ref, e_loop, rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,8 +116,8 @@ def test_edge_differentials_match_reference(seed, n_samples, n_pos):
     csum = _prefix_sum(rng, n_samples)
     lo_b, hi_b, lo_a, hi_a = _random_windows(rng, n_samples, n_pos)
     d_ref = ref.edge_differentials(csum, lo_b, hi_b, lo_a, hi_a)
-    d_jit = jit.edge_differentials(csum, lo_b, hi_b, lo_a, hi_a)
-    np.testing.assert_array_equal(d_ref, d_jit)
+    d_loop = loop.edge_differentials(csum, lo_b, hi_b, lo_a, hi_a)
+    np.testing.assert_array_equal(d_ref, d_loop)
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,8 +130,9 @@ def test_viterbi_exact_matches_reference(seed, n, initial, sigma):
     log_flip = float(np.log(0.3))
     log_hold = float(np.log(0.7))
     s_ref = ref.viterbi_exact(obs, sigma, log_flip, log_hold, initial)
-    s_jit = jit.viterbi_exact(obs, sigma, log_flip, log_hold, initial)
-    np.testing.assert_array_equal(s_ref, s_jit)
+    s_loop = loop.viterbi_exact(obs, sigma, log_flip, log_hold,
+                                initial)
+    np.testing.assert_array_equal(s_ref, s_loop)
 
 
 @settings(max_examples=40, deadline=None)
@@ -163,11 +151,11 @@ def test_viterbi_banded_matches_reference(seed, n, band, start_high,
     noise = rng.standard_normal(n) * rng.choice([0.02, 0.6])
     obs = clean + noise
     s_ref = ref.viterbi_banded(obs, band, start_high, required_first)
-    ok, s_jit = jit.viterbi_banded(obs, band, start_high,
-                                   required_first)
+    ok, s_loop = loop.viterbi_banded(obs, band, start_high,
+                                     required_first)
     assert ok == (s_ref is not None)
     if ok:
-        np.testing.assert_array_equal(s_ref, s_jit)
+        np.testing.assert_array_equal(s_ref, s_loop)
 
 
 # -- struct-of-arrays packing --------------------------------------------
@@ -236,92 +224,9 @@ def test_length_class_is_next_pow2():
         == [1, 2, 4, 4, 8, 8, 16, 1024]
 
 
-# -- backend selection and fallback --------------------------------------
+# -- kernel identity ---------------------------------------------------
 
 
 def test_reference_backend_always_available():
-    assert "reference" in available_backends()
-    backend = resolve_backend("reference")
-    assert backend.name == "reference"
-    backend.warm_up()  # no-op, must not raise
-
-
-def test_explicit_name_overrides_environment(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "definitely-not-a-backend")
-    # The explicit name wins; the bogus environment value is not read.
-    assert resolve_backend("reference").name == "reference"
-
-
-def test_environment_variable_selects_backend(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "reference")
+    assert get_backend() is ref
     assert get_backend().name == "reference"
-
-
-def test_unknown_backend_name_raises(monkeypatch):
-    with pytest.raises(ConfigurationError):
-        resolve_backend("turbojet")
-    monkeypatch.setenv(ENV_VAR, "turbojet")
-    with pytest.raises(ConfigurationError):
-        resolve_backend(None)
-
-
-def test_auto_resolves_silently():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        backend = resolve_backend("auto")
-    assert backend.name in ("reference", "numba")
-
-
-@pytest.mark.skipif(HAVE_NUMBA, reason="numba installed — fallback "
-                                       "path unreachable")
-def test_missing_numba_warns_once_and_falls_back(monkeypatch):
-    monkeypatch.setattr(kernels_mod, "_warned_numba_missing", False)
-    with pytest.warns(RuntimeWarning, match="numba is not installed"):
-        backend = resolve_backend("numba")
-    assert backend.name == "reference"
-    # Second request: already warned, degrades silently.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert resolve_backend("numba").name == "reference"
-
-
-# -- compiled backend (CI matrix job only) -------------------------------
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestCompiledBackend:
-    """The njit-compiled kernels obey the same equivalence contract."""
-
-    @pytest.fixture(scope="class")
-    def numba_backend(self):
-        backend = resolve_backend("numba")
-        assert backend.name == "numba"
-        return backend
-
-    def test_compiled_lloyd(self, numba_backend):
-        rng = np.random.default_rng(7)
-        pts = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-        cents = (rng.standard_normal((3, 4))
-                 + 1j * rng.standard_normal((3, 4)))
-        c_ref, l_ref, i_ref = ref.lloyd_batched(pts, cents.copy())
-        c_nb, l_nb, i_nb = numba_backend.lloyd_batched(pts,
-                                                       cents.copy())
-        np.testing.assert_array_equal(l_ref, l_nb)
-        np.testing.assert_allclose(c_ref, c_nb, rtol=1e-9)
-        assert np.isclose(i_ref, i_nb, rtol=1e-9)
-
-    def test_compiled_edge_differentials(self, numba_backend):
-        rng = np.random.default_rng(11)
-        csum = _prefix_sum(rng, 100)
-        bounds = _random_windows(rng, 100, 30)
-        np.testing.assert_array_equal(
-            ref.edge_differentials(csum, *bounds),
-            numba_backend.edge_differentials(csum, *bounds))
-
-    def test_compiled_viterbi(self, numba_backend):
-        rng = np.random.default_rng(13)
-        obs = rng.standard_normal(60) * 0.7
-        lf, lh = float(np.log(0.3)), float(np.log(0.7))
-        np.testing.assert_array_equal(
-            ref.viterbi_exact(obs, 0.3, lf, lh, -1),
-            numba_backend.viterbi_exact(obs, 0.3, lf, lh, -1))

@@ -8,7 +8,7 @@ clean capture decodes bit-identically to the unguarded decoder.
 import numpy as np
 import pytest
 
-from repro.core.session import SessionDecoder
+from repro.core.session_decoder import SessionDecoder
 from repro.robustness import impair_capture, random_cocktail
 from repro.types import EpochResult
 

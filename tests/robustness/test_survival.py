@@ -16,8 +16,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.robustness.scenarios import (SCENARIOS, Scenario,
-                                        build_scenario_capture)
+from repro.experiments.scenario import ScenarioSpec, build_capture
+from repro.robustness.scenarios import SCENARIOS
 from repro.robustness.survival import (DECODER_CONFIGS,
                                        classify_decode,
                                        run_survival_matrix)
@@ -45,8 +45,8 @@ def test_registry_names_are_unique_and_cover_the_regimes():
 
 def test_scenario_captures_are_deterministic():
     scenario = _BY_NAME["room_10"]
-    a = build_scenario_capture(scenario)
-    b = build_scenario_capture(scenario)
+    a = build_capture(scenario)
+    b = build_capture(scenario)
     np.testing.assert_array_equal(a.trace.samples, b.trace.samples)
     assert [t.tag_id for t in a.truths] == \
         [t.tag_id for t in b.truths]
@@ -106,8 +106,8 @@ def test_failed_classification_captures_the_exception(monkeypatch):
 
     monkeypatch.setattr(survival, "LFDecoder", _Boom)
     cell = survival._decode_cell(
-        Scenario(name="tiny", description="", n_tags=2,
-                 epoch_seconds=0.002),
+        ScenarioSpec(name="tiny", n_tags=2, bitrate_bps=10e3,
+                     epoch_s=0.002),
         {}, SimulationProfile.fast())
     assert cell.classification == "failed"
     assert "RuntimeError" in cell.error

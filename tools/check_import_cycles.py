@@ -14,8 +14,8 @@ builds the *runtime* module-scope import graph:
 * ``if TYPE_CHECKING:`` blocks are skipped (typing-only imports are
   exactly the sanctioned way to reference an upper layer);
 * imports inside function bodies are skipped (they are lazy by
-  construction — e.g. the ``SessionDecoder`` re-export in
-  ``session.__getattr__``);
+  construction — e.g. the stats-layer import inside
+  ``fidelity.merge_fidelity_stats``);
 * an import of a submodule counts as a dependency on that submodule,
   not on its ancestor packages (importing your own package's
   ``__init__`` is the normal re-export pattern, handled by Python's
@@ -55,12 +55,11 @@ FORBIDDEN_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.core.stages.", "repro.core.engine"),
 )
 
-#: The kernel backends are the bottom of the compute stack: plain
-#: arrays in, plain arrays out.  Nothing under this prefix may import
-#: anything from ``repro`` except its own siblings and the entries in
-#: the allowlist — a backend that needs pipeline/stage types is a
-#: layering bug, and would also drag JIT compilation into modules that
-#: must import cheaply.
+#: The kernels are the bottom of the compute stack: plain arrays in,
+#: plain arrays out.  Nothing under this prefix may import anything
+#: from ``repro`` except its own siblings and the entries in the
+#: allowlist — a kernel that needs pipeline/stage types is a layering
+#: bug.
 KERNELS_PREFIX = "repro.core.kernels"
 KERNELS_ALLOWED: Tuple[str, ...] = ("repro.errors",)
 
@@ -217,7 +216,7 @@ def check() -> List[str]:
                 continue
             problems.append(
                 f"forbidden import: {importer} -> {imported} "
-                f"(kernel backends must stay below the decode layers)")
+                f"(kernels must stay below the decode layers)")
     return problems
 
 
