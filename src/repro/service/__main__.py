@@ -39,7 +39,9 @@ def main(argv=None) -> int:
                         help="tags per reader (default 4)")
     parser.add_argument("--n-shards", "--shards", type=int, default=2,
                         dest="n_shards",
-                        help="shard workers (default 2)")
+                        help="shards: queues, rings and routing; "
+                             "thread shards decode one at a time, "
+                             "process shards in parallel (default 2)")
     parser.add_argument("--executor", choices=[THREAD, PROCESS],
                         default=_default_executor(),
                         help="shard executor: worker threads or one "

@@ -15,10 +15,10 @@ from .metrics import DEFAULT_BUCKETS
 SHED_OLDEST = "shed_oldest"
 BLOCK = "block"
 
-#: Shard executors: worker threads in the service process (GIL-bound,
-#: zero setup cost) or one long-lived child process per shard
-#: (multi-core scaling; frames decode zero-copy from the shard's shm
-#: ring mapped by name in the child).
+#: Shard executors: worker threads in the service process (one decode
+#: at a time across shards, zero setup cost) or one long-lived child
+#: process per shard (multi-core scaling; frames decode zero-copy from
+#: the shard's shm ring mapped by name in the child).
 THREAD = "thread"
 PROCESS = "process"
 
@@ -35,14 +35,18 @@ def _default_executor() -> str:
 class ServiceConfig:
     """Every knob of :class:`~repro.service.service.DecodeService`.
 
-    The service defaults are sized for a couple of readers on one box;
-    scale ``n_shards`` with cores and ``queue_depth`` with the jitter
-    of the offered load.
+    The service defaults are sized for a couple of readers on one box.
+    Under the thread executor, shards set routing, queues and rings,
+    and their decodes run one at a time; to use more cores, run
+    ``executor="process"`` with ``n_shards`` up to the core count.
+    Scale ``queue_depth`` with the jitter of the offered load.
     """
 
-    #: Worker shards.  Each shard is one worker thread owning the warm
+    #: Worker shards.  Each shard owns a queue, a ring and the warm
     #: per-stream SessionDecoders routed to it; every chunk of one
-    #: (reader, antenna) stream lands on the same shard.
+    #: (reader, antenna) stream lands on the same shard.  Thread
+    #: shards take turns on one decode lock; process shards decode in
+    #: parallel, one child each.
     n_shards: int = 2
     #: Shard executor: ``"thread"`` decodes in worker threads of the
     #: service process; ``"process"`` gives each shard a long-lived

@@ -65,8 +65,8 @@ from ..types import EpochResult
 from .config import ServiceConfig
 from .framing import ChunkFrame, RingView
 from .metrics import MetricsRegistry, RegistrySnapshotter
-from .worker import (STATUS_FAILED, ChunkResult, SessionPool,
-                     ShardWorker)
+from .worker import (STATUS_FAILED, ChunkResult, FifoLock,
+                     SessionPool, ShardWorker)
 
 #: Strikes (send + resubmission) before a frame is failed on a child
 #: that keeps dying or hanging — mirrors the batch engine's two-strike
@@ -88,12 +88,16 @@ class ProcessShardWorker(ShardWorker):
     Drop-in for :class:`ShardWorker`: queueing, shedding, ring
     ownership, ``join_idle`` and result delivery are all inherited —
     only ``_decode_frame`` changes, into a supervised pipe round-trip.
+    That override never takes ``decode_lock``: each child has its own
+    interpreter, so the children decode in parallel.
     """
 
     def __init__(self, shard_id: int, config: ServiceConfig,
                  registry: MetricsRegistry,
-                 on_result: Callable[[ChunkResult], None]):
-        super().__init__(shard_id, config, registry, on_result)
+                 on_result: Callable[[ChunkResult], None],
+                 decode_lock: FifoLock):
+        super().__init__(shard_id, config, registry, on_result,
+                         decode_lock)
         if self.ring.shm_name is None:
             raise ConfigurationError(
                 "executor='process' needs shared-memory rings "

@@ -15,7 +15,8 @@ decode everything, indefinitely, with bounded memory.  The dataflow::
         │
         ▼
     ShardWorker thread → per-stream SessionDecoder (warm caches,
-        │                 retries, cold respawn, LRU eviction)
+        │                 retries, cold respawn, LRU eviction; thread
+        │                 shards decode one at a time)
         ▼
     ChunkResult → result handlers + Prometheus-style metrics
 
@@ -54,7 +55,7 @@ from .framing import ChunkFrame
 from .metrics import MetricsRegistry
 from .router import shard_index
 from .worker import (STATUS_DEGRADED, STATUS_FAILED, STATUS_OK,
-                     STATUS_SHED, ChunkResult, ShardWorker)
+                     STATUS_SHED, ChunkResult, FifoLock, ShardWorker)
 
 
 def _worker_class(config: ServiceConfig):
@@ -104,8 +105,12 @@ class DecodeService:
         self.config = config or ServiceConfig()
         self.metrics = MetricsRegistry()
         worker_cls = _worker_class(self.config)
+        # One decode at a time across thread shards (see
+        # repro.service.worker); process shards never take it.
+        decode_lock = FifoLock()
         self._workers: List[ShardWorker] = [
-            worker_cls(i, self.config, self.metrics, self._on_result)
+            worker_cls(i, self.config, self.metrics, self._on_result,
+                       decode_lock)
             for i in range(self.config.n_shards)]
         self._handlers: List[Callable[[ChunkResult], None]] = []
         self._seq: Dict[Tuple[int, int], int] = {}

@@ -9,6 +9,15 @@ no room), decodes them through the stream's
 k-means / lattice caches stay warm chunk to chunk — and hands a
 :class:`ChunkResult` to the service's completion callback.
 
+Thread-executor shards share one interpreter lock, so they also share
+one *decode lock* (a :class:`FifoLock` created by the service): only
+one shard decodes at a time, and waiting shards take turns.  Left to
+interleave, two decodes form a GIL convoy — numpy drops the GIL inside
+its larger loops and the other shard then keeps it for up to the
+switch interval — and each runs slower than the pair would back to
+back.  Queueing, ring bookkeeping, shedding and result delivery stay
+per shard, outside the lock.
+
 The health model is the PR 3 supervision machinery scaled to a
 long-running service:
 
@@ -63,7 +72,8 @@ class ChunkResult:
     (chunk-local coordinates, exactly what an offline
     ``decode_chunked`` sees per chunk) for decoded chunks and is
     ``None`` for shed or failed ones.  ``latency_s`` is
-    ingest-to-completion wall clock (queue wait included);
+    ingest-to-completion wall clock (queue wait included and, under
+    the thread executor, the wait for the service's decode lock);
     ``decode_s`` the decode call alone.
     """
 
@@ -215,18 +225,50 @@ class SessionPool:
         return totals
 
 
+class FifoLock:
+    """A mutex granted in arrival order: releasing it hands it to the
+    longest waiter.
+
+    ``threading.Lock`` promises no order: a thread that releases it
+    and asks again before the woken waiter runs takes it back, so on a
+    busy host one shard can win three decodes in a row while another
+    waits.  Tickets make the handoff FIFO.  Only shard worker threads
+    take this lock, and nothing interrupts them while they wait.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition(threading.Lock())
+        self._next_ticket = 0
+        self._serving = 0
+
+    def __enter__(self) -> None:
+        with self._cond:
+            ticket = self._next_ticket
+            self._next_ticket += 1
+            self._cond.wait_for(lambda: self._serving == ticket)
+
+    def __exit__(self, *exc) -> None:
+        with self._cond:
+            self._serving += 1
+            self._cond.notify_all()
+
+
 class ShardWorker:
     """One shard: a worker thread, its queue, ring, and warm sessions.
 
     ``on_result`` is invoked on the worker thread (or, for shed
     frames, on the submitting thread) exactly once per enqueued frame.
+    ``decode_lock`` is the service-wide lock held around each decode
+    call, so thread shards decode one at a time, in turn.
     """
 
     def __init__(self, shard_id: int, config: ServiceConfig,
                  registry: MetricsRegistry,
-                 on_result: Callable[[ChunkResult], None]):
+                 on_result: Callable[[ChunkResult], None],
+                 decode_lock: FifoLock):
         self.shard_id = shard_id
         self.config = config
+        self._decode_lock = decode_lock
         self.ring = ChunkRing(config.ring_samples,
                               use_shared_memory=config.use_shared_memory)
         self._on_result = on_result
@@ -433,8 +475,11 @@ class ShardWorker:
         samples = (frame.inline if frame.frame_id < 0
                    else self.ring.view(frame.frame_id))
         try:
-            status, result, attempts, error, decode_s = \
-                self.pool.decode(frame, samples)
+            # ``with`` releases the lock on a BaseException too (chaos
+            # worker kill), so a dying shard cannot wedge the others.
+            with self._decode_lock:
+                status, result, attempts, error, decode_s = \
+                    self.pool.decode(frame, samples)
         finally:
             # Retire even when a BaseException (chaos worker kill)
             # aborts the decode: a dead shard must not leak its
