@@ -89,10 +89,10 @@ def genie_lf_decode(trace: IQTrace, offset_samples: float,
                     + np.arange(n_bits) * period_samples).astype(np.int64)
     grid = np.clip(grid, 0, len(trace) - 1)
     diffs = detector.refine_differentials(trace, grid, bounds=grid)
-    from ..core.pipeline import _project_single
+    from ..core.stages import project_single
     from ..core.viterbi import RISE, ViterbiDecoder
     from ..tags.base import build_frame
-    observations = _project_single(diffs)
+    observations = project_single(diffs)
     # Polarity from a matched filter against the known header's edge
     # pattern: the alternating preamble plus anchor produces the edge
     # template +1,-1,+1,... at the first boundaries.

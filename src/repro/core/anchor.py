@@ -13,6 +13,7 @@ not necessarily bit 0 of the frame.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -34,12 +35,19 @@ class AssembledBits:
     header_score: float
 
 
+@functools.lru_cache(maxsize=16)
 def expected_header(preamble_bits: int = constants.PREAMBLE_BITS,
                     anchor_bit: int = constants.ANCHOR_BIT) -> np.ndarray:
-    """The known header bits every frame starts with."""
-    return build_frame(np.empty(0, dtype=np.int8),
-                       preamble_bits=preamble_bits,
-                       anchor_bit=anchor_bit)
+    """The known header bits every frame starts with.
+
+    Built once per (preamble, anchor) pair and shared, so the returned
+    array is read-only.
+    """
+    header = build_frame(np.empty(0, dtype=np.int8),
+                         preamble_bits=preamble_bits,
+                         anchor_bit=anchor_bit)
+    header.setflags(write=False)
+    return header
 
 
 def _header_match(bits: np.ndarray, header: np.ndarray) -> float:
@@ -73,6 +81,20 @@ def _pre_start_penalty(observations: np.ndarray, start: int,
     if np.any(np.abs(observations[lo:start]) > threshold):
         return 0.5
     return 0.0
+
+
+def _pre_start_penalties(observations: np.ndarray, starts: np.ndarray,
+                         lookback: int = 2,
+                         threshold: float = 0.5) -> np.ndarray:
+    """:func:`_pre_start_penalty` for many candidate starts at once.
+
+    It reads only ``|observations|``, so one call serves both
+    polarities' candidates.
+    """
+    back = starts[:, None] - np.arange(1, lookback + 1)[None, :]
+    loud = (back >= 0) & (np.abs(observations[np.maximum(back, 0)])
+                          > threshold)
+    return np.where(loud.any(axis=1), 0.5, 0.0)
 
 
 def resolve_polarity(observations: np.ndarray,
@@ -156,49 +178,56 @@ def _resolve_prescreened(obs: np.ndarray, header: np.ndarray,
     per-slot decisions over a clean header agree with the hard
     threshold, and candidates that disagree are exactly the corrupt
     ones whose full decode would fail the acceptance gate anyway.
+
+    Both polarities' candidates (at most three each) are scored in one
+    stacked hard decode; a flipped candidate's header window is the
+    negated window of ``obs``.  The winner is then picked by a scalar
+    pass over those few scores that replays the per-polarity search:
+    ``order`` decides which polarity is searched first, a perfect
+    score ends the search before the second one, and ties prefer the
+    unflipped polarity, then the earlier start.
     """
     h = header.size
-    best = None  # (score, flipped, start)
-    for flipped in order:
-        signed = -obs if flipped else obs
-        starts = [int(s) for s in _candidate_starts(signed)
-                  if signed.size - int(s) >= h]
-        if not starts:
-            continue
-        # One struct-of-arrays hard decode over every candidate of
-        # this polarity: the candidates' header windows stack into an
-        # (S, h) matrix and threshold/forward-fill in one pass.
-        # Within a polarity the tie-break prefers the earlier start
-        # anyway, so scoring candidates past a perfect one cannot
-        # change the winner.
-        seg = np.stack([signed[s:s + h] for s in starts])
-        m = np.minimum(np.maximum(np.rint(seg), -1),
-                       1).astype(np.int8)
-        idx = np.where(m != 0, np.arange(h)[None, :], -1)
-        last = np.maximum.accumulate(idx, axis=1)
-        bits = np.where(
-            last >= 0,
-            np.take_along_axis(m, np.maximum(last, 0), axis=1) == 1,
-            False).astype(np.int8)
-        matches = np.count_nonzero(bits == header[None, :],
-                                   axis=1) / header.size
-        for i, start in enumerate(starts):
-            score = float(matches[i]) \
-                - _pre_start_penalty(signed, start)
-            if best is None or score > best[0] or (
-                    score == best[0]
-                    and (flipped, start) < best[1:]):
-                best = (score, flipped, start)
-        if best is not None and best[0] >= 1.0:
-            break
-    if best is None:
+    per_polarity = {}
+    for flipped in (False, True):
+        starts = _candidate_starts(-obs if flipped else obs)
+        per_polarity[flipped] = starts[starts <= obs.size - h]
+    n_plain = per_polarity[False].size
+    starts = np.concatenate([per_polarity[False], per_polarity[True]])
+    if starts.size == 0:
         raise DecodeError(
             "no rising edge found in the stream; cannot locate the frame")
-    _, flipped, start = best
-    signed = -obs if flipped else obs
-    bits = dec.decode_bits(signed[start:], initial_state=RISE)
-    score = _header_match(bits, header) \
-        - _pre_start_penalty(signed, start)
+    # One struct-of-arrays hard decode over every candidate: the
+    # header windows stack into an (S, h) matrix and
+    # threshold/forward-fill in one pass.
+    seg = obs[starts[:, None] + np.arange(h)[None, :]]
+    np.negative(seg[n_plain:], out=seg[n_plain:])
+    m = np.minimum(np.maximum(np.rint(seg), -1), 1).astype(np.int8)
+    idx = np.where(m != 0, np.arange(h)[None, :], -1)
+    last = np.maximum.accumulate(idx, axis=1)
+    bits = np.where(
+        last >= 0,
+        np.take_along_axis(m, np.maximum(last, 0), axis=1) == 1,
+        False).astype(np.int8)
+    matches = np.count_nonzero(bits == header[None, :],
+                               axis=1) / header.size
+    penalties = _pre_start_penalties(obs, starts)
+    scores = (matches - penalties).tolist()
+    rows = {False: range(n_plain), True: range(n_plain, starts.size)}
+    best = None  # (score, flipped, start, row)
+    for flipped in order:
+        for i in rows[flipped]:
+            score, start = scores[i], int(starts[i])
+            if best is None or score > best[0] or (
+                    score == best[0]
+                    and (flipped, start) < best[1:3]):
+                best = (score, flipped, start, i)
+        if best is not None and best[0] >= 1.0:
+            break
+    _, flipped, start, i = best
+    bits = dec.decode_bits(-obs[start:] if flipped else obs[start:],
+                           initial_state=RISE)
+    score = _header_match(bits, header) - float(penalties[i])
     return AssembledBits(bits=bits, start_slot=start,
                          flipped=flipped, header_score=score)
 

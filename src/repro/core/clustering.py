@@ -49,9 +49,13 @@ def _kmeans_pp_init(points: np.ndarray, k: int, n_init: int,
     inverse-CDF sampling, mirroring ``Generator.choice(p=probs)`` (one
     uniform draw + a cumulative-sum threshold) without its O(n) input
     validation.
+
+    Real (1-D) points take a real path: it drops the squared zero
+    imaginary gaps a complex cast would add, which are exact ``+0.0``
+    terms, so the seeds and the draws match the complex path's.
     """
     n = points.size
-    pr, pi = points.real, points.imag
+    real = not np.iscomplexobj(points)
     first = np.empty(n_init, dtype=np.int64)
     us = np.empty((n_init, max(k - 1, 0)))
     for r in range(n_init):
@@ -60,10 +64,17 @@ def _kmeans_pp_init(points: np.ndarray, k: int, n_init: int,
         # as k-1 scalar ``rng.random()`` calls (each double is one
         # 64-bit draw), without k-1 Python round-trips.
         us[r, :] = rng.random(k - 1)
-    cents = np.empty((n_init, k), dtype=np.complex128)
+
+    def _gap2(idx: np.ndarray) -> np.ndarray:
+        if real:
+            return (points[None, :] - points[idx][:, None]) ** 2
+        pr, pi = points.real, points.imag
+        return ((pr[None, :] - pr[idx][:, None]) ** 2
+                + (pi[None, :] - pi[idx][:, None]) ** 2)
+
+    cents = np.empty((n_init, k), dtype=points.dtype)
     cents[:, 0] = points[first]
-    dist2 = ((pr[None, :] - pr[first][:, None]) ** 2
-             + (pi[None, :] - pi[first][:, None]) ** 2)
+    dist2 = _gap2(first)
     for j in range(1, k):
         cdf = np.cumsum(dist2, axis=1)
         # Degenerate rows (every point already on a centroid) have an
@@ -72,10 +83,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, n_init: int,
         targets = us[:, j - 1] * cdf[:, -1]
         picks = np.minimum((cdf <= targets[:, None]).sum(axis=1), n - 1)
         cents[:, j] = points[picks]
-        np.minimum(dist2,
-                   (pr[None, :] - pr[picks][:, None]) ** 2
-                   + (pi[None, :] - pi[picks][:, None]) ** 2,
-                   out=dist2)
+        np.minimum(dist2, _gap2(picks), out=dist2)
     return cents
 
 
@@ -84,9 +92,14 @@ def kmeans(points: np.ndarray, k: int, rng: SeedLike = None,
            tol: float = 1e-10,
            init_centroids: Optional[np.ndarray] = None,
            bounded_min_points: int = 1024) -> KMeansResult:
-    """Lloyd's algorithm on complex points with k-means++ restarts.
+    """Lloyd's algorithm with k-means++ restarts.
 
-    ``init_centroids``, when given, is a length-``k`` complex array of
+    Complex points cluster in the IQ plane; real points (a 1-D
+    projection) take the real-arithmetic path of
+    :func:`repro.core.kernels.lloyd_batched`, whose fit equals the one
+    a complex cast would give.
+
+    ``init_centroids``, when given, is a length-``k`` array of
     prior centroids (e.g. a tracked stream's fit from the previous
     epoch).  It replaces the k-means++ restart fan-out with a *single*
     warm restart from those centroids — the cross-epoch fast path of
@@ -96,7 +109,9 @@ def kmeans(points: np.ndarray, k: int, rng: SeedLike = None,
     converges to the identical fit while skipping most distance
     computations.
     """
-    pts = np.asarray(points, dtype=np.complex128).ravel()
+    pts = np.asarray(points)
+    pts = pts.astype(np.complex128 if np.iscomplexobj(pts) else np.float64,
+                     copy=False).ravel()
     if pts.size == 0:
         raise ConfigurationError("cannot cluster zero points")
     if k < 1:
@@ -107,7 +122,9 @@ def kmeans(points: np.ndarray, k: int, rng: SeedLike = None,
     if n_init < 1:
         raise ConfigurationError("n_init must be >= 1")
     if init_centroids is not None:
-        warm = np.asarray(init_centroids, dtype=np.complex128).ravel()
+        warm = np.asarray(init_centroids).ravel()
+        warm = (warm if np.iscomplexobj(pts) else warm.real).astype(
+            pts.dtype)
         if warm.size != k:
             raise ConfigurationError(
                 f"init_centroids has {warm.size} centroids, need {k}")
@@ -123,12 +140,12 @@ def kmeans(points: np.ndarray, k: int, rng: SeedLike = None,
         cents = warm[None, :].copy()
     else:
         cents = _kmeans_pp_init(pts, k, n_init, gen)
-    return _lloyd_batched(pts, cents, max_iter=max_iter, tol=tol)
+    return lloyd_fit(pts, cents, max_iter=max_iter, tol=tol)
 
 
-def _lloyd_batched(pts: np.ndarray, cents: np.ndarray,
-                   max_iter: int = 100,
-                   tol: float = 1e-10) -> KMeansResult:
+def lloyd_fit(pts: np.ndarray, cents: np.ndarray,
+              max_iter: int = 100,
+              tol: float = 1e-10) -> KMeansResult:
     """Batched Lloyd iteration over a stack of restarts.
 
     All restarts run in one batched iteration (an (R, k) centroid
@@ -150,7 +167,7 @@ def kmeans_bounded(points: np.ndarray, k: int,
     """Single-restart Lloyd iteration with Hamerly distance bounds.
 
     Follows the exact assignment trajectory of the brute-force
-    iteration (:func:`_lloyd_batched` with one restart) but maintains
+    iteration (:func:`lloyd_fit` with one restart) but maintains
     per-point bounds — an upper bound on the distance to the assigned
     centroid and a lower bound on the distance to every other — so most
     points skip the full distance computation on most iterations.  A
@@ -269,6 +286,23 @@ def select_cluster_count(points: np.ndarray,
     return best
 
 
+def sweep_subsamples(n_points: int, policy: FidelityPolicy) -> bool:
+    """True when an adaptive sweep over ``n_points`` runs on a subsample."""
+    return bool(policy.subsample_cap) and n_points > policy.subsample_cap
+
+
+def shared_seeds(pts: np.ndarray, k_max: int, gen: np.random.Generator,
+                 n_init: int = 4) -> np.ndarray:
+    """The adaptive sweep's one k-means++ fan-out, at ``k_max`` clusters.
+
+    The restart count is narrowed to two: the collision verdict reads
+    the inertia *ratio* between candidate ks (robust to a slightly
+    sub-optimal fit on both sides), not the absolute fit quality the
+    legacy fan-out polishes for.
+    """
+    return _kmeans_pp_init(pts, k_max, min(n_init, 2), gen)
+
+
 def _select_adaptive(pts: np.ndarray, feasible: List[int],
                      gen: np.random.Generator, n_init: int,
                      improvement_factor: float,
@@ -293,7 +327,7 @@ def _select_adaptive(pts: np.ndarray, feasible: List[int],
     point.
     """
     cap = policy.subsample_cap
-    subsampled = bool(cap) and pts.size > cap
+    subsampled = sweep_subsamples(pts.size, policy)
     if subsampled:
         draw = np.random.default_rng(policy.subsample_seed)
         sub_idx = draw.choice(pts.size, size=cap, replace=False)
@@ -304,22 +338,16 @@ def _select_adaptive(pts: np.ndarray, feasible: List[int],
         sub = pts
 
     # One k-means++ fan-out at the largest candidate seeds the whole
-    # sweep; smaller candidates take seed prefixes.  The restart count
-    # is narrowed: the collision verdict reads the inertia *ratio*
-    # between candidate ks (robust to a slightly sub-optimal fit on
-    # both sides), not the absolute fit quality the legacy fan-out
-    # polishes for.
-    k_max = feasible[-1]
-    restarts = min(n_init, 2)
-    shared = _kmeans_pp_init(sub, k_max, restarts, gen)
+    # sweep; smaller candidates take seed prefixes.
+    shared = shared_seeds(sub, feasible[-1], gen, n_init)
 
     def _fit_sub(k: int) -> KMeansResult:
         hint = hints.get(k)
         if hint is not None and not subsampled:
             seeds = np.asarray(hint, dtype=np.complex128).ravel()
             if seeds.size == k:
-                return _lloyd_batched(sub, seeds[None, :])
-        return _lloyd_batched(sub, shared[:, :k])
+                return lloyd_fit(sub, seeds[None, :])
+        return lloyd_fit(sub, shared[:, :k])
 
     fits = {k: _fit_sub(k) for k in feasible}
     best_k = feasible[0]
@@ -365,7 +393,7 @@ def _select_adaptive(pts: np.ndarray, feasible: List[int],
             best = kmeans_bounded(pts, best_k, fits[best_k].centroids,
                                   stats=stats)
         else:
-            best = _lloyd_batched(pts, fits[best_k].centroids[None, :])
+            best = lloyd_fit(pts, fits[best_k].centroids[None, :])
         fits[best_k] = best
     else:
         best = fits[best_k]

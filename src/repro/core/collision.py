@@ -16,13 +16,15 @@ Detection therefore combines two signals:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..utils.rng import SeedLike
-from .clustering import KMeansResult, kmeans, select_cluster_count
+from ..utils.rng import SeedLike, make_rng
+from .clustering import (KMeansResult, kmeans, lloyd_fit,
+                         select_cluster_count, shared_seeds,
+                         sweep_subsamples)
 from .fidelity import FidelityPolicy
 
 
@@ -30,9 +32,11 @@ from .fidelity import FidelityPolicy
 class CollisionReport:
     """Outcome of collision analysis for one stream's differentials.
 
-    ``kmeans`` is ``None`` only on the adaptive pre-gate fast path of a
-    cold (sessionless) decode, where the verdict is settled by
-    planarity alone and no consumer needs the cluster fit.
+    ``kmeans`` is ``None`` whenever a cold (sessionless) adaptive
+    verdict needs no fit: on the pre-gate fast path, and on an
+    escalated single-tag verdict of the full-set sweep (see
+    :func:`detect_collision`'s ``cache_fits``).  A cold collision
+    verdict carries the nine-cluster fit, and ``n_clusters`` is 9.
     """
 
     is_collision: bool
@@ -58,17 +62,7 @@ def scatter_planarity(points: np.ndarray) -> float:
     clusters {0, +e, -e} are symmetric around the origin and a
     mean-centred PCA would see the same geometry as a shifted lattice.
     """
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    if pts.size < 2:
-        return 0.0
-    x = np.stack([pts.real, pts.imag])
-    moment = x @ x.T / pts.size
-    eigvals = np.linalg.eigvalsh(moment)
-    major = float(eigvals[-1])
-    minor = float(max(eigvals[0], 0.0))
-    if major <= 0:
-        return 0.0
-    return minor / major
+    return planarity_and_threshold(points)[0]
 
 
 def effective_planarity_threshold(
@@ -83,15 +77,30 @@ def effective_planarity_threshold(
     the complex noise power ``noise_scale**2``); a 3x margin keeps
     noise from masquerading as a weak second collider.
     """
-    threshold = planarity_threshold
+    return planarity_and_threshold(points, planarity_threshold,
+                                   noise_scale)[1]
+
+
+def planarity_and_threshold(
+        points: np.ndarray,
+        planarity_threshold: float = 0.02,
+        noise_scale: Optional[float] = None) -> Tuple[float, float]:
+    """:func:`scatter_planarity` and :func:`effective_planarity_threshold`
+    from one eigendecomposition of the scatter moment."""
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    if noise_scale is not None and noise_scale > 0 and pts.size:
-        x = np.stack([pts.real, pts.imag])
-        major_eig = float(np.linalg.eigvalsh(x @ x.T / pts.size)[-1])
-        if major_eig > 0:
-            implied = 3.0 * (noise_scale ** 2 / 2.0) / major_eig
-            threshold = max(threshold, implied)
-    return threshold
+    if pts.size == 0:
+        return 0.0, planarity_threshold
+    x = np.stack([pts.real, pts.imag])
+    eigvals = np.linalg.eigvalsh(x @ x.T / pts.size)
+    major = float(eigvals[-1])
+    planarity = 0.0
+    if pts.size >= 2 and major > 0:
+        planarity = float(max(eigvals[0], 0.0)) / major
+    threshold = planarity_threshold
+    if noise_scale is not None and noise_scale > 0 and major > 0:
+        implied = 3.0 * (noise_scale ** 2 / 2.0) / major
+        threshold = max(threshold, implied)
+    return planarity, threshold
 
 
 def detect_collision(differentials: np.ndarray,
@@ -105,7 +114,7 @@ def detect_collision(differentials: np.ndarray,
                      policy: Optional[FidelityPolicy] = None,
                      stats: Optional[Dict[str, int]] = None,
                      warm: bool = False,
-                     cache_fast_fit: bool = True
+                     cache_fits: bool = True
                      ) -> CollisionReport:
     """Decide whether a stream's grid differentials contain a collision.
 
@@ -130,10 +139,14 @@ def detect_collision(differentials: np.ndarray,
     escalates to the full detector, so the fast path can never flip a
     verdict.  ``stats`` accumulates the gate counters.
 
-    ``cache_fast_fit=False`` lets a caller with no session cache skip
-    the 3-cluster fit on the fast path entirely (the verdict never
-    reads it); escalated sweeps still export every fit via
-    ``fits_out``.
+    ``cache_fits=False`` is for a caller with no session cache: only
+    the fits that the two-way separator reads are computed.  The fast
+    path fits nothing.  An escalated (3, 9) sweep on the full point set
+    still draws its shared k-means++ seeds, because those draws are
+    part of the caller's RNG schedule; it then skips the 3-cluster fit
+    and the model selection, and fits nine clusters only on a
+    collision verdict.  Subsampled sweeps run as usual (their
+    confidence check may escalate to a full refit).
     """
     pts = np.asarray(differentials, dtype=np.complex128).ravel()
     if pts.size < 3:
@@ -144,9 +157,9 @@ def detect_collision(differentials: np.ndarray,
             "planarity threshold must be in [0, 1)")
 
     adaptive = policy is not None and policy.active
+    planarity = threshold = None
     if adaptive and policy.pregate:
-        planarity = scatter_planarity(pts)
-        threshold = effective_planarity_threshold(
+        planarity, threshold = planarity_and_threshold(
             pts, planarity_threshold=planarity_threshold,
             noise_scale=noise_scale)
         margin = (policy.pregate_margin_warm if warm
@@ -159,7 +172,7 @@ def detect_collision(differentials: np.ndarray,
             # its per-point inertia is next epoch's blowup baseline —
             # so a cold decode skips the fit too.
             fit = None
-            if fits_out is not None and cache_fast_fit:
+            if fits_out is not None and cache_fits:
                 k3 = min(3, pts.size)
                 fit = kmeans(pts, k3, rng=rng, n_init=1,
                              init_centroids=(centroid_hints
@@ -176,9 +189,28 @@ def detect_collision(differentials: np.ndarray,
         if stats is not None:
             stats["pregate_escalations"] = (
                 stats.get("pregate_escalations", 0) + 1)
-    else:
-        planarity = None
-        threshold = None
+
+    if adaptive and not cache_fits and not centroid_hints \
+            and pts.size >= 9 and sorted(set(candidates)) == [3, 9] \
+            and not sweep_subsamples(pts.size, policy):
+        # Cold full-set sweep: the verdict is planarity alone (every
+        # candidate k is >= 3), so the model selection is never read.
+        if planarity is None:
+            planarity, threshold = planarity_and_threshold(
+                pts, planarity_threshold=planarity_threshold,
+                noise_scale=noise_scale)
+        shared = shared_seeds(pts, 9, make_rng(rng))
+        nine = None
+        if planarity > threshold:
+            nine = lloyd_fit(pts, shared)
+            if fits_out is not None:
+                fits_out[9] = nine
+        return CollisionReport(
+            is_collision=nine is not None,
+            n_clusters=3 if nine is None else 9,
+            planarity=planarity,
+            kmeans=nine,
+        )
 
     fit = select_cluster_count(pts, candidates=candidates, rng=rng,
                                improvement_factor=1.5,
@@ -186,8 +218,7 @@ def detect_collision(differentials: np.ndarray,
                                fits_out=fits_out,
                                policy=policy, stats=stats)
     if planarity is None:
-        planarity = scatter_planarity(pts)
-        threshold = effective_planarity_threshold(
+        planarity, threshold = planarity_and_threshold(
             pts, planarity_threshold=planarity_threshold,
             noise_scale=noise_scale)
 

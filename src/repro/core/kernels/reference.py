@@ -39,23 +39,31 @@ def lloyd_batched(pts: np.ndarray, cents: np.ndarray,
     (converged restarts are frozen, not re-averaged), and the wall
     clock is set by the slowest restart instead of the sum of all of
     them.  The best restart by final inertia wins.
+
+    Real points (a 1-D projection) run in real arithmetic and return
+    real centroids equal to the complex path's (whose imaginary parts
+    stay ``+0.0``): the zero imaginary terms it drops add exact zeros,
+    and the centroid update multiplies by the reciprocal of the
+    counts, which is how numpy divides a complex sum by a real count.
     """
     n = pts.size
     n_init, k = cents.shape
     cents = cents.copy()
+    real = not np.iscomplexobj(pts)
     pr, pi = pts.real, pts.imag
     offsets = (np.arange(n_init) * k)[:, None]
     pr_tiled = np.broadcast_to(pr, (n_init, n)).ravel()
-    pi_tiled = np.broadcast_to(pi, (n_init, n)).ravel()
+    pi_tiled = None if real else np.broadcast_to(pi, (n_init, n)).ravel()
 
     def _dist2(c: np.ndarray) -> np.ndarray:
         # In-place squares/add: same values as the textbook
         # ``(dr ** 2 + di ** 2)`` with two fewer temporaries.
         dr = pr[None, :, None] - c.real[:, None, :]
-        di = pi[None, :, None] - c.imag[:, None, :]
         dr *= dr
-        di *= di
-        dr += di
+        if not real:
+            di = pi[None, :, None] - c.imag[:, None, :]
+            di *= di
+            dr += di
         return dr
 
     # Restarts drop out of the iteration as they converge, so late
@@ -69,15 +77,19 @@ def lloyd_batched(pts: np.ndarray, cents: np.ndarray,
         flat = (np.argmin(dist2, axis=2) + offsets[:a]).ravel()
         total = a * k
         counts = np.bincount(flat, minlength=total).reshape(a, k)
-        sums = (np.bincount(flat, weights=pr_tiled[:a * n],
-                            minlength=total)
-                + 1j * np.bincount(flat, weights=pi_tiled[:a * n],
-                                   minlength=total)).reshape(a, k)
+        sums = np.bincount(flat, weights=pr_tiled[:a * n],
+                           minlength=total).reshape(a, k)
         # Empty clusters are re-seeded below at the restart's
         # worst-fit point, overwriting every zero-count entry — the
         # 0/1 placeholder the plain division leaves there never
         # survives, so no masked fallback is needed.
-        new_c = sums / np.maximum(counts, 1)
+        if real:
+            new_c = sums * (1.0 / np.maximum(counts, 1))
+        else:
+            sums = sums + 1j * np.bincount(
+                flat, weights=pi_tiled[:a * n],
+                minlength=total).reshape(a, k)
+            new_c = sums / np.maximum(counts, 1)
         empty_rows = np.flatnonzero((counts == 0).any(axis=1))
         if empty_rows.size:
             worst = np.argmax(np.min(dist2, axis=2), axis=1)

@@ -40,23 +40,11 @@ from .folding import FoldingConfig
 from .stages import (DecodeContext, StageObserver, StageRunner,
                      StatsAccumulator, default_epoch_stages,
                      default_stream_stages)
-from .stages.anchor import dedup_streams
-from .stages.context import Stage, stream_fault
-from .stages.projection import (hold_cluster_noise, looks_multilevel,
-                                project_single, project_single_scaled)
+from .stages.context import Stage
 from .viterbi import ViterbiDecoder
 
 if TYPE_CHECKING:  # typing only — session imports stay lazy
     from .session import SessionState
-
-# Former private homes of the projection / dedup helpers, kept as
-# aliases for callers that imported them before the stage extraction.
-_project_single = project_single
-_project_single_scaled = project_single_scaled
-_hold_cluster_noise = hold_cluster_noise
-_looks_multilevel = looks_multilevel
-_dedup_streams = dedup_streams
-_stream_fault = stream_fault
 
 
 @dataclass
@@ -176,9 +164,14 @@ class LFDecoder:
         """Run the full stage graph over one epoch's capture.
 
         The returned :class:`EpochResult` carries a wall-clock breakdown
-        in ``stage_timings`` (keys ``edge``, ``fold``, ``extract``,
-        ``separate``, ``viterbi``, ``total``); each stage accumulates
-        across every stream hypothesis of the epoch.
+        in ``stage_timings`` (keys ``guard``, ``equalize``, ``edge``,
+        ``fold``, ``extract``, ``detect``, ``separate``, ``viterbi`` and
+        ``total``; a bucket appears only when its stage ran, so
+        ``equalize`` needs the equalizer enabled and ``guard`` the trace
+        guard); each stage accumulates across every stream hypothesis
+        of the epoch.  Some per-stream work runs outside every bucket
+        and shows only in ``total`` (see ARCHITECTURE.md, "The fidelity
+        ladder").
 
         ``session``, when given, is cross-epoch warm-start state (see
         :mod:`repro.core.session`): the fold search verifies cached

@@ -28,7 +28,7 @@ from ..errors import CollisionUnresolvableError, ConfigurationError, \
     DecodeError
 from ..utils.rng import SeedLike, make_rng
 from . import kernels
-from .clustering import _kmeans_pp_init, _lloyd_batched, kmeans
+from .clustering import _kmeans_pp_init, kmeans, lloyd_fit
 
 #: The nine (a, b) lattice coordinates in a fixed order.
 LATTICE_COORDS: Tuple[Tuple[int, int], ...] = tuple(
@@ -321,19 +321,17 @@ def separate_collinear(differentials: np.ndarray,
     direction = complex(axis[0], axis[1])
     proj = pts.real * axis[0] + pts.imag * axis[1]
 
-    pr = proj.astype(np.complex128)
     if init_levels is not None and np.asarray(init_levels).size == 9:
         # Two warm restarts (one per axis orientation) plus one cold
         # k-means++ draw: the warm seeds carry the multilevel check's
         # level structure, the cold draw keeps a bad warm fit from
         # deciding the split on its own.
-        seeds = np.asarray(init_levels,
-                           dtype=np.complex128).ravel()
-        cold = _kmeans_pp_init(pr, 9, 1, make_rng(rng))
-        fit = _lloyd_batched(pr, np.vstack([seeds[None, :],
-                                            -seeds[None, :], cold]))
+        seeds = np.asarray(init_levels).real.astype(np.float64).ravel()
+        cold = _kmeans_pp_init(proj, 9, 1, make_rng(rng))
+        fit = lloyd_fit(proj, np.vstack([seeds[None, :],
+                                         -seeds[None, :], cold]))
     else:
-        fit = kmeans(pr, 9, rng=rng, n_init=n_init)
+        fit = kmeans(proj, 9, rng=rng, n_init=n_init)
     centroids = np.sort(fit.centroids.real)
     scale = float(np.max(np.abs(centroids)))
     if scale <= 0:
@@ -371,9 +369,7 @@ def separate_collinear(differentials: np.ndarray,
     if not np.any(ok) or not np.any(clean):
         raise CollisionUnresolvableError(
             2, "collinear magnitudes too similar to label")
-    errs = _match_errors_batch(
-        centroids.astype(np.complex128),
-        lattices[clean].astype(np.complex128))
+    errs = kernels.lattice_match_errors(centroids, lattices[clean])
     win = int(np.argmin(errs))
     s1 = float(s1s[ok][clean][win])
     s2 = float(s2s[ok][clean][win])

@@ -28,8 +28,7 @@ from ...errors import (CollisionUnresolvableError, ConfigurationError,
 from ...types import StreamFault
 from ..clustering import kmeans
 from ..collision import (CollisionReport, detect_collision,
-                         effective_planarity_threshold,
-                         scatter_planarity)
+                         planarity_and_threshold)
 from .context import DecodeContext
 from .projection import hold_cluster_noise
 from .separation import decode_collided
@@ -80,9 +79,9 @@ class CollisionStage:
             # restart of the 3-cluster model verifies the cluster
             # structure, skipping the 9-cluster fan-out entirely.
             with ctx.stats.stage("detect"):
-                planarity = scatter_planarity(diffs)
-                if planarity > effective_planarity_threshold(
-                        diffs, noise_scale=noise_scale):
+                planarity, threshold = planarity_and_threshold(
+                    diffs, noise_scale=noise_scale)
+                if planarity > threshold:
                     # The tracked tag is likely inside a fresh
                     # collision now: release the tracker so pair
                     # synthesis may claim it as a constituent.
@@ -146,7 +145,7 @@ class CollisionStage:
                     rng=ctx.rng, centroid_hints=hints,
                     fits_out=scope.fits, policy=ctx.fidelity,
                     stats=ctx.stats.fidelity, warm=warm_vouched,
-                    cache_fast_fit=session is not None)
+                    cache_fits=session is not None)
                 if hints is not None:
                     if session.warm_fit_blown(tracker.inertia_pp,
                                               scope.fits, keys=(9,)):

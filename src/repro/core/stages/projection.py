@@ -91,16 +91,17 @@ def looks_multilevel(observations: np.ndarray,
 
     ``centroid_hints`` / ``fits_out`` are the session warm-start hooks:
     hinted cluster counts run as a single warm Lloyd restart and the
-    fresh fits are exported for the next epoch's cache.
+    fresh fits are exported for the next epoch's cache.  The fits run
+    on the real projection (real centroids, see
+    :func:`repro.core.clustering.kmeans`).
     """
     obs = np.asarray(observations, dtype=np.float64).ravel()
     if obs.size < 20:
         return False
     hints = centroid_hints or {}
-    pts = obs.astype(np.complex128)
-    three = kmeans(pts, 3, rng=rng, n_init=n_init,
+    three = kmeans(obs, 3, rng=rng, n_init=n_init,
                    init_centroids=hints.get(3))
-    nine = kmeans(pts, 9, rng=rng, n_init=n_init,
+    nine = kmeans(obs, 9, rng=rng, n_init=n_init,
                   init_centroids=hints.get(9))
     if fits_out is not None:
         fits_out[3] = three

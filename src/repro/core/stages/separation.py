@@ -168,8 +168,7 @@ class SeparationStage:
             # was three-level last epoch; re-verify with one warm
             # Lloyd and skip the 9-cluster comparison.
             with ctx.stats.stage("detect"):
-                three = kmeans(observations.astype(np.complex128), 3,
-                               rng=ctx.rng,
+                three = kmeans(observations, 3, rng=ctx.rng,
                                init_centroids=tracker.proj_centroids[3])
                 if session.warm_fit_blown(tracker.proj_inertia_pp,
                                           {3: three}, keys=(3,)):

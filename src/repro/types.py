@@ -346,8 +346,10 @@ class EpochResult:
     n_collisions_resolved: int = 0
     n_spurious_edges: int = 0
     duration_s: float = 0.0
-    #: Wall-clock seconds spent in each pipeline stage ("edge", "fold",
-    #: "extract", "detect", "separate", "viterbi", plus "total"), filled by
+    #: Wall-clock seconds spent in each pipeline stage ("guard",
+    #: "equalize", "edge", "fold", "extract", "detect", "separate",
+    #: "viterbi", plus "total"; a bucket appears only when its stage
+    #: ran), filled by
     #: :meth:`LFDecoder.decode_epoch` so throughput regressions are
     #: attributable to a stage rather than to the pipeline as a whole.
     stage_timings: Dict[str, float] = field(default_factory=dict)

@@ -6,7 +6,11 @@ bits, alignment, rate, collision flag and confidence, hashed with
 SHA-256 over their raw bytes — for each decode entry point (cold
 ``LFDecoder``, warm ``SessionDecoder``, ``BatchDecoder``, and
 ``decode_chunked`` with and without a session) under each fidelity
-mode (adaptive, ``force_full``).
+mode (adaptive, ``force_full``).  A denser, noisier cold capture
+(``dense/*``) drives the per-stream chain through its rarer branches:
+collision checks that escalate past the planarity pre-gate yet end
+single-tag, multilevel checks that escalate into a collinear split,
+and a collision left unresolved.
 
 ``tests/integration/test_stage_equivalence.py`` compares fresh decodes
 against the stored digests: any refactor of the decode path that is
@@ -33,7 +37,7 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "decode_digests.json"
 
 
 def _build_capture(n_tags: int, seed: int, duration_s: float,
-                   profile=None):
+                   profile=None, noise_std: float = 0.01):
     """One deterministic multi-tag epoch capture (fast profile)."""
     from repro.phy.channel import ChannelModel, random_coefficients
     from repro.reader.simulator import NetworkSimulator
@@ -51,7 +55,7 @@ def _build_capture(n_tags: int, seed: int, duration_s: float,
                   rng=np.random.default_rng(gen.integers(0, 2 ** 63)))
             for k in range(n_tags)]
     sim = NetworkSimulator(tags, channel, profile=profile,
-                           noise_std=0.01, rng=gen)
+                           noise_std=noise_std, rng=gen)
     return profile, sim, sim.run_epoch(duration_s)
 
 
@@ -110,6 +114,19 @@ def compute_digests() -> dict:
         results = warm.decode_epochs([e.trace for e in epochs])
         digests[f"session/{name}"] = "+".join(
             digest_result(r) for r in results)
+
+    # 14 tags at three times the noise: cold escalations, collinear
+    # splits and an unresolved collision (see the module docstring).
+    dense_profile, _, dense = _build_capture(14, seed=2,
+                                             duration_s=0.008,
+                                             noise_std=0.03)
+    for name, policy in policies.items():
+        decoder = LFDecoder(
+            LFDecoderConfig(candidate_bitrates_bps=[10e3],
+                            profile=dense_profile, fidelity=policy),
+            rng=1)
+        digests[f"dense/{name}"] = digest_result(
+            decoder.decode_epoch(dense.trace))
 
     # Batch decodes only vary by seed path, not by fidelity mode — one
     # adaptive digest per transport shape keeps the fixture fast.
