@@ -2,8 +2,9 @@
 
 Long experiments (waterfall sweeps, multi-epoch captures) decode
 hundreds of independent epochs with the same :class:`LFDecoderConfig`.
-:class:`BatchDecoder` fans those epochs out over a
-``concurrent.futures`` process pool while keeping four guarantees:
+:class:`BatchDecoder` fans those epochs out over forked children
+(:class:`~repro.core.child.SupervisedChild`, one task in flight per
+child) while keeping four guarantees:
 
 * **Determinism** — every task draws its randomness from a
   :class:`numpy.random.SeedSequence` spawned from the root seed by task
@@ -14,20 +15,17 @@ hundreds of independent epochs with the same :class:`LFDecoderConfig`.
 * **Ordered streaming** — :meth:`BatchDecoder.iter_decode` yields epoch
   results in submission order as soon as each becomes available, so a
   consumer can post-process epoch *i* while epoch *i+1* is still
-  decoding.  Submission itself runs a bounded look-ahead window (about
-  two tasks per worker), so an unbounded input stream never piles up
-  as pending futures or live shared-memory blocks.
+  decoding.  Input is pulled only when a child is free to take it, so
+  an unbounded input stream never piles up in the engine.
 * **One outcome per input** — the supervisor guarantees forward
-  progress no matter what a task does to its worker.  A task that
-  raises is retried with exponential backoff up to ``max_attempts``; a
-  task that hangs past ``task_timeout_s`` has its pool killed and
-  respawned (the head of the pending queue owns the deadline, so blame
-  is precise); a task that *crashes* its worker (``os._exit``,
-  segfault) breaks the whole pool — the supervisor respawns it and
-  re-runs the in-flight suspects one at a time so the killer is
-  identified by elimination.  Two strikes (crashes or hangs) quarantine
-  the task as a ``failed`` :class:`EpochOutcome`; every other epoch
-  still decodes and every input yields exactly one outcome.
+  progress no matter what a task does to its child.  A task that
+  raises is retried with exponential backoff up to ``max_attempts``.
+  A child that dies (``os._exit``, segfault) or misses the
+  ``task_timeout_s`` deadline of its dispatch held exactly one task,
+  so that task alone is charged a strike and only that child is
+  replaced; siblings never notice.  Two strikes fail the task as a
+  ``failed`` :class:`EpochOutcome`; every other epoch still decodes
+  and every input yields exactly one outcome.
 * **Timing transparency** — each :class:`EpochResult` carries the
   pipeline's per-stage wall-clock breakdown (``stage_timings``), and
   :meth:`BatchDecoder.aggregate_timings` folds them into one profile
@@ -45,16 +43,18 @@ and per-worker-count determinism.  An explicit ``seed`` reproduces a
 legacy ``np.random.default_rng(seed)`` stream bit for bit, which is
 how refit experiments keep row parity with their serial ancestors.
 
-Workers receive the decoder config once (pool initializer), not once
-per task.  Trace samples travel through ``multiprocessing.shared_memory``
-when available: the parent writes each epoch's samples into a block
-once and the worker decodes a zero-copy view, skipping the pickle
-serialize/deserialize round-trip entirely.  Hosts without POSIX shared
-memory (or with an exhausted ``/dev/shm``) fall back per task to the
-pickle transport, for which :meth:`IQTrace.__getstate__` drops the
+Children are forked per batch call, lazily, never more than
+``max_workers`` or the number of tasks dispatched; they inherit the
+decoder config and trial function at fork.  Trace samples travel
+through one :class:`~repro.core.ring.ChunkRing` per call, sized to
+two frames of the first trace per worker: the parent writes each
+task's samples into the ring once and the child decodes a zero-copy
+view.  A trace that does not fit (a longer trace, a ring held up
+behind a slow task, a host without POSIX shared memory) travels
+inline, pickled with its task; :meth:`IQTrace.__getstate__` drops the
 derived-array caches so the payload is just the raw samples.  Every
-failure path — worker crash, hang, retry, abandoned iteration — unlinks
-its shared-memory blocks before the supervisor moves on.
+exit path — completion, crash, hang, abandoned iteration — stops and
+reaps the children and unlinks the ring.
 """
 
 from __future__ import annotations
@@ -62,131 +62,82 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from itertools import chain
 from typing import (Any, Callable, Deque, Dict, Iterable, Iterator,
                     List, Optional, Sequence)
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, FrameTooLargeError, RingFullError
 from ..types import EpochResult, IQTrace, StreamFault
 from ..utils.rng import iter_spawn_seed_sequences
+from .child import CRASH_STRIKES, ChildLost, SupervisedChild, wait_ready
 from .pipeline import LFDecoder, LFDecoderConfig
+from .ring import ChunkRing, RingView
 from .stages.stats import StatsAccumulator
-
-try:
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - always present on CPython 3.8+
-    _shared_memory = None
-
-#: Per-process decoder config, installed by the pool initializer.
-_WORKER_CONFIG: Optional[LFDecoderConfig] = None
-
-#: Worker kills (crash or hang) after which a task is quarantined.
-_CRASH_STRIKES = 2
-
-
-def _init_worker(config: LFDecoderConfig) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
 
 
 def _decode_task(index: int, trace: IQTrace,
                  seed_seq: np.random.SeedSequence,
-                 config: Optional[LFDecoderConfig] = None) -> EpochResult:
+                 config: LFDecoderConfig) -> EpochResult:
     """Decode one epoch with a task-local decoder and RNG.
 
     A fresh :class:`LFDecoder` per task is deliberate: decoder state
     (its RNG position) must depend only on this task's seed sequence,
     never on which other tasks the worker processed first.
     """
-    cfg = config if config is not None else _WORKER_CONFIG
-    decoder = LFDecoder(cfg, rng=np.random.default_rng(seed_seq))
+    decoder = LFDecoder(config, rng=np.random.default_rng(seed_seq))
     result = decoder.decode_epoch(trace)
     result.epoch_index = index
     return result
 
 
-def _decode_task_shm(index: int, shm_name: str, n_samples: int,
-                     sample_rate_hz: float, start_time_s: float,
-                     seed_seq: np.random.SeedSequence) -> EpochResult:
-    """Decode one epoch whose samples live in a shared-memory block.
+def _run_task(trial_fn: Optional[Callable], index: int,
+              trace: Optional[IQTrace], payload: Any, seed,
+              config: LFDecoderConfig) -> Any:
+    """Run one task: the stock epoch decode, or one generic trial.
 
-    The worker attaches the parent's block and decodes a zero-copy view
-    of it; the parent owns the block's lifetime (it unlinks after the
-    result arrives).  POSIX attachment re-registers the block with a
-    resource tracker, so under non-fork start methods (per-process
-    trackers) the attachment must be unregistered or the worker's
-    tracker tears the block down when the worker exits.  Under fork the
-    tracker process is *shared* with the parent and registration is a
-    set — unregistering here would strip the parent's own entry and
-    break its unlink.
-
-    The view must not outlive the block: every array an
-    :class:`EpochResult` carries is derived (bits, centroids, timing
-    fits), never a slice of the raw trace, so closing before return is
-    safe — the executor pickles the result after this frame exits.
+    A trial's ``seed`` is either an explicit integer (legacy serial
+    loops seeded ``default_rng(int)``; passing the raw int through
+    reproduces that stream exactly) or an engine-spawned
+    :class:`SeedSequence`.  The trial function must return *derived*
+    data only — under the ring transport the trace is a view of a
+    frame the parent reuses once the result arrives.
     """
-    shm = _shared_memory.SharedMemory(name=shm_name)
-    try:
-        import multiprocessing
-        if multiprocessing.get_start_method() != "fork":
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker layout varies
-        pass
-    try:
-        samples = np.ndarray((n_samples,), dtype=np.complex128,
-                             buffer=shm.buf)
-        trace = IQTrace(samples=samples, sample_rate_hz=sample_rate_hz,
-                        start_time_s=start_time_s)
-        return _decode_task(index, trace, seed_seq)
-    finally:
-        shm.close()
+    if trial_fn is None:
+        return _decode_task(index, trace, seed, config=config)
+    return trial_fn(trace, payload, np.random.default_rng(seed), config)
 
 
-def _trial_task(fn: Callable, index: int, trace: Optional[IQTrace],
-                payload: Any, seed,
-                config: Optional[LFDecoderConfig] = None) -> Any:
-    """Run one generic trial with a task-local RNG.
+def _batch_child(config: LFDecoderConfig,
+                 trial_fn: Optional[Callable]) -> Callable:
+    """Build a batch child's handler: one task per message, replying
+    ``(True, result)`` or ``(False, error)`` for an in-task exception.
 
-    ``seed`` is either an explicit integer (legacy serial loops seeded
-    ``default_rng(int)``; passing the raw int through reproduces that
-    stream exactly) or an engine-spawned :class:`SeedSequence`.  The
-    trial function must return *derived* data only — under the
-    shared-memory transport the trace is a view of a block the parent
-    unlinks once the result arrives.
+    A task's trace arrives inline or as ``(ring name, start, n,
+    sample rate, start time, allow_nonfinite)``; the child attaches
+    the ring on first sight.  Every array an :class:`EpochResult`
+    carries is derived, never a slice of the raw trace, so the view
+    may go once the reply is sent.
     """
-    cfg = config if config is not None else _WORKER_CONFIG
-    rng = np.random.default_rng(seed)
-    return fn(trace, payload, rng, cfg)
+    views: Dict[str, RingView] = {}
 
+    def handle(message):
+        index, seed, payload, trace = message
+        if isinstance(trace, tuple):
+            name, start, n, rate, t0, nonfinite = trace
+            if name not in views:
+                views[name] = RingView(name)
+            trace = IQTrace(samples=views[name].view(start, n),
+                            sample_rate_hz=rate, start_time_s=t0,
+                            allow_nonfinite=nonfinite)
+        try:
+            return True, _run_task(trial_fn, index, trace, payload, seed,
+                                   config)
+        except Exception as exc:  # noqa: BLE001 — supervision
+            return False, f"{type(exc).__name__}: {exc}"
 
-def _trial_task_shm(fn: Callable, index: int, shm_name: str,
-                    n_samples: int, sample_rate_hz: float,
-                    start_time_s: float, payload: Any, seed) -> Any:
-    """Shared-memory transport for :func:`_trial_task` (same tracker
-    discipline as :func:`_decode_task_shm`)."""
-    shm = _shared_memory.SharedMemory(name=shm_name)
-    try:
-        import multiprocessing
-        if multiprocessing.get_start_method() != "fork":
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker layout varies
-        pass
-    try:
-        samples = np.ndarray((n_samples,), dtype=np.complex128,
-                             buffer=shm.buf)
-        trace = IQTrace(samples=samples, sample_rate_hz=sample_rate_hz,
-                        start_time_s=start_time_s)
-        return _trial_task(fn, index, trace, payload, seed)
-    finally:
-        shm.close()
+    return handle
 
 
 @dataclass(frozen=True)
@@ -216,8 +167,9 @@ class EpochOutcome:
     collision, isolated stream fault) or ``"failed"`` (the task itself
     could not be completed: exhausted retries, repeated worker crashes
     or hangs; ``result`` is ``None`` and ``error`` says why).
-    ``attempts`` counts submissions, including resubmissions forced by
-    *other* tasks crashing the shared pool.
+    ``attempts`` counts this input's dispatches: its own in-task
+    errors, crashes and hangs add one each, and nothing another task
+    does ever costs it one.
 
     For :meth:`BatchDecoder.iter_trials` the same verdict applies to a
     generic trial: ``result`` holds whatever the trial function
@@ -239,11 +191,10 @@ class EpochOutcome:
 
 @dataclass
 class _Task:
-    """One submitted epoch plus everything needed to re-run it.
+    """One input plus everything needed to re-run it.
 
-    The trace is retained until the task settles so a pool respawn can
-    resubmit it; ``suspect`` marks tasks that were in flight when the
-    pool broke and must be re-run solo for crash blame.
+    The trace is retained until the task settles so a lost child's
+    task can be dispatched again.
     """
 
     index: int
@@ -253,32 +204,22 @@ class _Task:
     #: Opaque trial context (``None`` for stock epoch decodes).
     payload: Any = None
     attempts: int = 0
-    #: Attempts that ended in an in-worker exception (retry budget).
+    #: Attempts that ended in an in-task exception (retry budget).
     errors: int = 0
-    #: Worker kills blamed on this task (crashes and hangs).
+    #: Child losses (crashes and hangs) charged to this task.
     crashes: int = 0
-    future: Optional[Future] = None
-    shm: Optional["_shared_memory.SharedMemory"] = None
+    #: Ring frame holding the trace while a child decodes it (-1: none).
+    frame: int = -1
     result: Optional[Any] = None
     error: Optional[str] = None
     #: A harvested result settles the task even when it is ``None`` —
     #: trial functions may legitimately return ``None``.
     done: bool = False
     failed: bool = False
-    suspect: bool = False
 
     @property
     def settled(self) -> bool:
         return self.failed or self.done
-
-    def release_shm(self) -> None:
-        if self.shm is not None:
-            self.shm.close()
-            try:
-                self.shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-            self.shm = None
 
 
 class BatchDecoder:
@@ -294,21 +235,15 @@ class BatchDecoder:
         independent child seed sequence; the same root seed always
         reproduces the same results, for any ``max_workers``.
     max_workers:
-        Process count.  ``None`` uses the machine's CPU count; values
-        ``<= 1`` decode serially in-process (no pickling, no pool),
-        which is also the automatic fallback on single-CPU hosts.
-    use_shared_memory:
-        Transport for trace samples.  ``True`` (the default when the
-        platform provides ``multiprocessing.shared_memory``) writes
-        each epoch's samples into a shared block that the worker maps
-        zero-copy; ``False`` forces the pickle transport.  Decode
-        results are bit-identical either way — the knob only moves
-        bytes differently.
+        Child process count.  ``None`` uses the machine's CPU count;
+        values ``<= 1`` decode serially in-process (no pickling, no
+        children), which is also the automatic fallback on single-CPU
+        hosts.
     task_timeout_s:
-        Wall-clock budget one task may hold the head of the result
-        queue before the supervisor declares it hung, kills the pool
-        and resubmits the in-flight work.  ``None`` (default) disables
-        the watchdog.
+        Wall-clock budget of one dispatch: a child that has not
+        replied within it is killed, and its task is charged a strike
+        and dispatched again on a fresh child.  ``None`` (default)
+        disables the watchdog.
     max_attempts:
         Decode attempts per epoch that may end in an in-worker
         exception before the epoch is reported ``failed``.  Retries
@@ -320,7 +255,6 @@ class BatchDecoder:
     def __init__(self, config: Optional[LFDecoderConfig] = None,
                  seed: int = 0,
                  max_workers: Optional[int] = None,
-                 use_shared_memory: Optional[bool] = None,
                  task_timeout_s: Optional[float] = None,
                  max_attempts: int = 2,
                  retry_backoff_s: float = 0.05):
@@ -332,13 +266,6 @@ class BatchDecoder:
             raise ConfigurationError(
                 f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        if use_shared_memory is None:
-            use_shared_memory = _shared_memory is not None
-        if use_shared_memory and _shared_memory is None:
-            raise ConfigurationError(
-                "shared-memory transport requested but "
-                "multiprocessing.shared_memory is unavailable")
-        self.use_shared_memory = use_shared_memory
         if task_timeout_s is not None and task_timeout_s <= 0:
             raise ConfigurationError(
                 f"task_timeout_s must be positive, got {task_timeout_s}")
@@ -376,7 +303,7 @@ class BatchDecoder:
         memory stays proportional to the worker count, not the batch.
 
         An epoch whose task ultimately *failed* (exhausted retries,
-        quarantined after repeated worker kills) still yields: an empty
+        quarantined after repeated child losses) still yields: an empty
         result whose ``degraded_streams`` carries a single
         ``stage="engine"`` fault naming the failure.  Use
         :meth:`iter_outcomes` for the explicit per-task verdict.
@@ -442,26 +369,10 @@ class BatchDecoder:
                             trial_fn: Optional[Callable]
                             ) -> Iterator[EpochOutcome]:
         if self.max_workers <= 1:
-            yield from self._iter_serial(task_iter, trial_fn)
-            return
-        # A lone task is not worth a process pool.
-        first = list(_take(task_iter, 2))
-        if len(first) <= 1:
-            yield from self._iter_serial(iter(first), trial_fn)
-            return
-        yield from self._iter_supervised(chain(first, task_iter),
-                                         trial_fn)
+            return self._iter_serial(task_iter, trial_fn)
+        return self._iter_children(task_iter, trial_fn)
 
     # -- serial path -------------------------------------------------------
-
-    def _run_local(self, task: _Task,
-                   trial_fn: Optional[Callable]) -> Any:
-        if trial_fn is None:
-            return _decode_task(task.index, task.trace, task.seed_seq,
-                                config=self.config)
-        return _trial_task(trial_fn, task.index, task.trace,
-                           task.payload, task.seed_seq,
-                           config=self.config)
 
     def _iter_serial(self, task_iter: Iterator[_Task],
                      trial_fn: Optional[Callable]
@@ -474,7 +385,9 @@ class BatchDecoder:
             while True:
                 attempts += 1
                 try:
-                    result = self._run_local(task, trial_fn)
+                    result = _run_task(trial_fn, task.index, task.trace,
+                                       task.payload, task.seed_seq,
+                                       self.config)
                 except Exception as exc:  # noqa: BLE001 — supervision
                     if attempts >= self.max_attempts:
                         yield EpochOutcome(
@@ -488,172 +401,116 @@ class BatchDecoder:
                     yield _settled(task.index, result, attempts)
                     break
 
-    # -- supervised pool path ----------------------------------------------
+    # -- supervised children path ------------------------------------------
 
-    def _iter_supervised(self, task_iter: Iterator[_Task],
-                         trial_fn: Optional[Callable]
-                         ) -> Iterator[EpochOutcome]:
-        window = 2 * self.max_workers
-        pending: Deque[_Task] = deque()
-        pool = self._new_pool()
+    def _iter_children(self, task_iter: Iterator[_Task],
+                       trial_fn: Optional[Callable]
+                       ) -> Iterator[EpochOutcome]:
+        pending: Deque[_Task] = deque()   # input order, until yielded
+        redo: Deque[_Task] = deque()      # unsettled, awaiting a child
+        idle: List[SupervisedChild] = []
+        busy: Dict[SupervisedChild, _Task] = {}
+        ring: Optional[ChunkRing] = None
         exhausted = False
-
-        def _fail(task: _Task, message: str) -> None:
-            task.failed = True
-            task.error = message
-            task.suspect = False
-            task.release_shm()
-
-        def _worker_error(task: _Task, exc: BaseException) -> None:
-            """An attempt raised inside the worker: retry or fail."""
-            task.errors += 1
-            task.suspect = False  # it ran to completion; worker lives
-            task.future = None
-            task.release_shm()
-            if task.errors >= self.max_attempts:
-                _fail(task, f"{type(exc).__name__}: {exc}")
-            else:
-                time.sleep(self.retry_backoff_s
-                           * (2 ** (task.errors - 1)))
-
-        def _harvest(task: _Task) -> bool:
-            """Collect a done future's verdict; True if it resolved
-            (result or in-worker error), False if the pool break ate
-            it and the task must be resubmitted."""
-            exc = task.future.exception()
-            if exc is None:
-                task.result = task.future.result()
-                task.done = True
-                task.suspect = False
-                task.future = None
-                task.release_shm()
-                return True
-            if isinstance(exc, BrokenProcessPool):
-                return False
-            _worker_error(task, exc)
-            return True
-
-        def _restart_pool() -> List[_Task]:
-            """Kill the pool, respawn it, and reset in-flight tasks.
-
-            Returns the unsettled tasks that were genuinely in flight
-            (their futures died with the pool) — the crash suspects.
-            Futures that completed before the break keep their results.
-            """
-            nonlocal pool
-            in_flight: List[_Task] = []
-            for task in pending:
-                if task.settled or task.future is None:
-                    continue
-                if task.future.done() and _harvest(task):
-                    continue
-                in_flight.append(task)
-            _kill_pool(pool)
-            for task in in_flight:
-                task.future = None
-                task.release_shm()
-            pool = self._new_pool()
-            return in_flight
-
-        def _pool_broke() -> None:
-            """Blame a worker crash: solo culprit gets a strike, a
-            crowd becomes suspects probed one at a time."""
-            in_flight = _restart_pool()
-            if len(in_flight) == 1:
-                task = in_flight[0]
-                task.crashes += 1
-                if task.crashes >= _CRASH_STRIKES:
-                    _fail(task, "WorkerCrashError: task killed its "
-                          f"worker process {task.crashes} times; "
-                          "quarantined")
-                else:
-                    task.suspect = True
-            else:
-                for task in in_flight:
-                    task.suspect = True
-
         try:
             while True:
-                while pending and pending[0].settled:
-                    task = pending.popleft()
-                    yield self._outcome_of(task)
-                # Top up: resubmissions first (head-most), then fresh
-                # input.  While any crash suspect is unsettled the
-                # window narrows to one so the next pool break blames
-                # exactly one task.
-                probing = any(t.suspect and not t.settled
-                              for t in pending)
-                cap = 1 if probing else window
-                in_flight = sum(1 for t in pending
-                                if t.future is not None
-                                and not t.settled)
-                try:
-                    for task in pending:
-                        if in_flight >= cap:
-                            break
-                        if task.future is None and not task.settled:
-                            self._submit(pool, task, trial_fn)
-                            in_flight += 1
-                    while in_flight < cap and not exhausted:
-                        task = next(task_iter, None)
+                # Hand work to every free (or not yet forked) child:
+                # redispatches first, then fresh input.
+                while len(busy) < self.max_workers:
+                    if redo:
+                        task = redo.popleft()
+                    else:
+                        task = None if exhausted else next(task_iter, None)
                         if task is None:
                             exhausted = True
                             break
-                        # Enqueue before submitting: a submit that dies
-                        # with the pool must not lose the epoch.
                         pending.append(task)
-                        self._submit(pool, task, trial_fn)
-                        in_flight += 1
-                except BrokenProcessPool:
-                    _pool_broke()
-                    continue
-                if not pending:
+                    if ring is None and task.trace is not None:
+                        ring = ChunkRing(
+                            2 * self.max_workers * len(task.trace))
+                    child = idle.pop() if idle else SupervisedChild(
+                        _batch_child, (self.config, trial_fn),
+                        name="lf-batch")
+                    busy[child] = task
+                    task.attempts += 1
+                    child.send(self._message(task, ring),
+                               self.task_timeout_s)
+                while pending and pending[0].settled:
+                    yield self._outcome_of(pending.popleft())
+                if not busy:
                     break
-                head = pending[0]
-                if head.settled:
-                    continue
-                try:
-                    result = head.future.result(
-                        timeout=self.task_timeout_s)
-                except _FuturesTimeout:
-                    if head.future.done():
-                        # An in-worker TimeoutError, not tenure expiry.
-                        _worker_error(head, head.future.exception())
-                        continue
-                    head.crashes += 1
-                    _restart_pool()
-                    if head.crashes >= _CRASH_STRIKES:
-                        _fail(head, "TaskHangError: task exceeded the "
-                              f"{self.task_timeout_s:g}s watchdog "
-                              f"{head.crashes} times; quarantined")
-                except BrokenProcessPool:
-                    _pool_broke()
-                except Exception as exc:  # noqa: BLE001 — supervision
-                    _worker_error(head, exc)
-                else:
-                    head.result = result
-                    head.done = True
-                    head.suspect = False
-                    head.future = None
-                    head.release_shm()
+                for child in wait_ready(list(busy)):
+                    task = busy[child]
+                    try:
+                        ok, value = child.recv()
+                    except ChildLost as lost:
+                        del busy[child]
+                        self._charge_loss(task, lost, redo)
+                    else:
+                        del busy[child]
+                        idle.append(child)
+                        if ok:
+                            task.result, task.done = value, True
+                        else:
+                            self._charge_error(task, value, redo)
+                    finally:
+                        if task.frame >= 0:
+                            ring.retire(task.frame)
+                            task.frame = -1
         finally:
-            # Consumer abandoned the iterator, or we are done: cancel
-            # what never started, join the workers, then unlink every
-            # leftover block (safe once no worker can be attached).
-            for task in pending:
-                if task.future is not None:
-                    task.future.cancel()
-            try:
-                pool.shutdown(wait=True, cancel_futures=True)
-            except TypeError:  # pragma: no cover - Python < 3.9
-                pool.shutdown(wait=True)
-            for task in pending:
-                task.release_shm()
+            # Completed, abandoned or unwinding: a busy child's task is
+            # moot, so it is killed rather than waited for.
+            for child in idle:
+                child.stop()
+            for child in busy:
+                child.stop(graceful=False)
+            if ring is not None:
+                ring.close()
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.max_workers,
-                                   initializer=_init_worker,
-                                   initargs=(self.config,))
+    @staticmethod
+    def _message(task: _Task, ring: Optional[ChunkRing]) -> tuple:
+        """The child message for one dispatch of ``task``: its trace
+        rides a ring frame when one fits, else travels inline."""
+        trace = task.trace
+        if trace is not None and ring.shm_name is not None:
+            try:
+                task.frame = ring.write(trace.samples)
+            except (RingFullError, FrameTooLargeError):
+                pass
+            else:
+                start, n = ring.region(task.frame)
+                trace = (ring.shm_name, start, n, trace.sample_rate_hz,
+                         trace.start_time_s, trace.allow_nonfinite)
+        return task.index, task.seed_seq, task.payload, trace
+
+    def _charge_loss(self, task: _Task, lost: ChildLost,
+                     redo: Deque[_Task]) -> None:
+        """The child holding ``task`` died or hung: a strike for it."""
+        task.crashes += 1
+        if task.crashes < CRASH_STRIKES:
+            redo.append(task)
+        elif lost.kind == "hang":
+            self._fail(task, "TaskHangError: task exceeded the "
+                       f"{self.task_timeout_s:g}s watchdog "
+                       f"{task.crashes} times; quarantined")
+        else:
+            self._fail(task, "WorkerCrashError: task killed its worker "
+                       f"process {task.crashes} times; quarantined")
+
+    def _charge_error(self, task: _Task, error: str,
+                      redo: Deque[_Task]) -> None:
+        """An attempt raised inside the child: retry or fail."""
+        task.errors += 1
+        if task.errors >= self.max_attempts:
+            self._fail(task, error)
+        else:
+            time.sleep(self.retry_backoff_s * (2 ** (task.errors - 1)))
+            redo.append(task)
+
+    @staticmethod
+    def _fail(task: _Task, message: str) -> None:
+        task.failed = True
+        task.error = message
 
     def _outcome_of(self, task: _Task) -> EpochOutcome:
         if task.done:
@@ -662,65 +519,6 @@ class BatchDecoder:
         return EpochOutcome(epoch_index=task.index, status="failed",
                             attempts=max(task.attempts, 1),
                             error=task.error or "task failed")
-
-    def _submit(self, pool: ProcessPoolExecutor, task: _Task,
-                trial_fn: Optional[Callable] = None) -> None:
-        """Submit one task, preferring the shared-memory transport.
-
-        Falls back to the pickle transport per task when the block
-        cannot be created (exhausted ``/dev/shm``, zero-size trace) —
-        the work itself is transport-agnostic.  Trace-less trials
-        always pickle (there are no samples to move).
-        """
-        task.attempts += 1
-        trace = task.trace
-        if self.use_shared_memory and trace is not None:
-            samples = np.ascontiguousarray(trace.samples,
-                                           dtype=np.complex128)
-            shm = None
-            try:
-                shm = _shared_memory.SharedMemory(create=True,
-                                                  size=samples.nbytes)
-                view = np.ndarray(samples.shape, dtype=np.complex128,
-                                  buffer=shm.buf)
-                view[:] = samples
-                task.shm = shm
-                if trial_fn is None:
-                    task.future = pool.submit(
-                        _decode_task_shm, task.index, shm.name,
-                        samples.size, trace.sample_rate_hz,
-                        trace.start_time_s, task.seed_seq)
-                else:
-                    task.future = pool.submit(
-                        _trial_task_shm, trial_fn, task.index,
-                        shm.name, samples.size, trace.sample_rate_hz,
-                        trace.start_time_s, task.payload,
-                        task.seed_seq)
-                return
-            except BrokenProcessPool:
-                task.shm = None
-                if shm is not None:
-                    shm.close()
-                    try:
-                        shm.unlink()
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
-                raise
-            except (OSError, ValueError):
-                task.shm = None
-                if shm is not None:
-                    shm.close()
-                    try:
-                        shm.unlink()
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
-        if trial_fn is None:
-            task.future = pool.submit(_decode_task, task.index, trace,
-                                      task.seed_seq)
-        else:
-            task.future = pool.submit(_trial_task, trial_fn,
-                                      task.index, trace, task.payload,
-                                      task.seed_seq)
 
     def aggregate_timings(self, results: Iterable[EpochResult]
                           ) -> Dict[str, float]:
@@ -745,29 +543,3 @@ def _settled(index: int, result: Any,
     status = "degraded" if degraded else "ok"
     return EpochOutcome(epoch_index=index, status=status, result=result,
                         attempts=attempts)
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a (possibly hung or broken) pool down without waiting on
-    its tasks: terminate the workers first, then reap them."""
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    for proc in processes:
-        proc.terminate()
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover - Python < 3.9
-        pool.shutdown(wait=False)
-    for proc in processes:
-        proc.join(timeout=5.0)
-        if proc.is_alive():  # pragma: no cover - terminate sufficed
-            proc.kill()
-            proc.join(timeout=5.0)
-
-
-def _take(iterator: Iterator, n: int) -> Iterator:
-    """First ``n`` items of ``iterator`` (fewer if it runs dry)."""
-    for _ in range(n):
-        try:
-            yield next(iterator)
-        except StopIteration:
-            return

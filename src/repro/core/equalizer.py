@@ -258,7 +258,7 @@ def _sparse_xcorr(positions: np.ndarray, values: np.ndarray,
     A direct sum over the train's nonzeros: its cost is (edges x
     lags), independent of the capture length.  Elementwise/einsum
     arithmetic only — a BLAS product here would start the BLAS
-    thread pool inside every pool worker.
+    thread pool inside every batch child.
     """
     padded = np.concatenate(
         [signal, np.zeros(n_lags, dtype=np.complex128)])

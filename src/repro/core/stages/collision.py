@@ -57,7 +57,7 @@ class CollisionStage:
     """Classify the stream's scatter; resolve two-way collisions."""
 
     name = "collision"
-    timing_key = None  # times its k-means core into ``detect``
+    timing_key = None  # times its k-means work into ``detect``
 
     def run(self, ctx: DecodeContext) -> None:
         scope = ctx.stream
@@ -185,7 +185,8 @@ class CollisionStage:
             # stages to salvage the strongest collider as a single
             # stream — the header gate drops it again if the
             # contamination is too heavy.
-            n_colliders = _diagnose_colliders(diffs, report)
+            with ctx.stats.stage("detect"):
+                n_colliders = _diagnose_colliders(diffs, report)
             error = CollisionUnresolvableError(n_colliders)
             ctx.stats.note_fault(StreamFault(
                 offset_samples=scope.track.offset_samples,

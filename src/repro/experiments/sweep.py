@@ -131,8 +131,8 @@ class SweepRunner:
     Parameters
     ----------
     trial_fn:
-        Top-level picklable callable ``(trace, payload, rng, config)
-        -> Any`` run once per trial under full engine supervision.
+        Top-level callable ``(trace, payload, rng, config) -> Any``
+        run once per trial under full engine supervision.
     config:
         Decoder config handed to workers (``trial_fn``'s fourth
         argument); trials needing per-trial variants carry them in
@@ -142,7 +142,7 @@ class SweepRunner:
         explicit seeds.
     max_workers / engine_kwargs:
         Forwarded to :class:`BatchDecoder` (worker count, watchdog,
-        retry policy, transport).
+        retry policy).
     """
 
     def __init__(self, trial_fn: Callable,

@@ -21,7 +21,7 @@ from .chaos import (CHAOS_COCKTAILS, ChaosConfig, ChaosCrashError,
                     capture_thread_exceptions, chaos_service_config)
 from .config import (BLOCK, EXECUTOR_ENV, PROCESS, SHED_OLDEST, THREAD,
                      ServiceConfig)
-from .framing import ChunkFrame, ChunkRing, RingView
+from .framing import ChunkFrame
 from .metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, RegistrySnapshotter,
                       StageLatencyObserver, diff_snapshot)
@@ -37,7 +37,7 @@ __all__ = [
     "chaos_service_config",
     "BLOCK", "EXECUTOR_ENV", "PROCESS", "SHED_OLDEST", "THREAD",
     "ServiceConfig",
-    "ChunkFrame", "ChunkRing", "RingView",
+    "ChunkFrame",
     "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram",
     "MetricsRegistry", "RegistrySnapshotter", "StageLatencyObserver",
     "diff_snapshot",

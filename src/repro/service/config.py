@@ -67,9 +67,6 @@ class ServiceConfig:
     overflow: str = SHED_OLDEST
     #: Per-shard ring capacity in complex128 samples (16 bytes each).
     ring_samples: int = 1 << 20
-    #: Back the rings with multiprocessing.shared_memory blocks
-    #: (``None`` = when the platform has them).
-    use_shared_memory: Optional[bool] = None
     #: Decoder configuration shared by every stream's SessionDecoder.
     decoder: LFDecoderConfig = field(default_factory=LFDecoderConfig)
     #: Cross-epoch tracking configuration (``None`` = defaults).

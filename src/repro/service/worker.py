@@ -3,7 +3,7 @@
 One :class:`ShardWorker` is one daemon thread plus the warm state of
 every stream routed to its shard.  The worker loop pops frames in FIFO
 order, maps their samples (zero-copy from the shard's
-:class:`~repro.service.framing.ChunkRing`, or inline when the ring had
+:class:`~repro.core.ring.ChunkRing`, or inline when the ring had
 no room), decodes them through the stream's
 :class:`~repro.core.session_decoder.SessionDecoder` — so fold /
 k-means / lattice caches stay warm chunk to chunk — and hands a
@@ -25,7 +25,7 @@ long-running service:
   semantics as the batch engine's in-worker retry budget);
 * a stream whose chunks keep failing has its session **respawned
   cold** after ``respawn_after`` consecutive failures (the service
-  analogue of pool respawn — inside each session, the PR 3 tracker
+  analogue of child respawn — inside each session, the PR 3 tracker
   quarantine already confines repeat warm-fit blowups);
 * the worker thread itself is respawned by the service if its loop
   ever dies (it should not: per-chunk exceptions are all absorbed);
@@ -50,10 +50,11 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.ring import ChunkRing
 from ..core.session_decoder import SessionDecoder
 from ..types import EpochResult, IQTrace
 from .config import BLOCK, SHED_OLDEST, ServiceConfig
-from .framing import ChunkFrame, ChunkRing
+from .framing import ChunkFrame
 from .metrics import MetricsRegistry, StageLatencyObserver
 from .router import stream_seed
 
@@ -269,8 +270,7 @@ class ShardWorker:
         self.shard_id = shard_id
         self.config = config
         self._decode_lock = decode_lock
-        self.ring = ChunkRing(config.ring_samples,
-                              use_shared_memory=config.use_shared_memory)
+        self.ring = ChunkRing(config.ring_samples)
         self._on_result = on_result
         self._queue: Deque[ChunkFrame] = deque()
         self._cond = threading.Condition()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import ring as ring_module
 from repro.core.engine import BatchDecoder, _decode_task
 from repro.core.pipeline import LFDecoder, LFDecoderConfig
 from repro.errors import ConfigurationError
@@ -105,28 +106,30 @@ def test_stage_timings_populated(traces, config):
         sum(r.stage_timings["total"] for r in results))
 
 
-def test_transport_invariance(traces, config):
-    """Shared-memory and pickle transports decode identical bits —
-    the knob only changes how sample bytes reach the workers."""
+def test_transport_invariance(traces, config, monkeypatch):
+    """Ring and inline transports decode identical bits.  A trace
+    travels inline when it cannot ride the ring: on a host without
+    shared memory, or when it is longer than the ring sized from the
+    first trace."""
     serial = BatchDecoder(config=config, seed=3,
                           max_workers=1).decode_epochs(traces)
-    shm = BatchDecoder(config=config, seed=3, max_workers=2,
-                       use_shared_memory=True).decode_epochs(traces)
-    pickled = BatchDecoder(config=config, seed=3, max_workers=2,
-                           use_shared_memory=False).decode_epochs(traces)
     fingerprints = [_stream_fingerprint(r) for r in serial]
-    assert [_stream_fingerprint(r) for r in shm] == fingerprints
-    assert [_stream_fingerprint(r) for r in pickled] == fingerprints
+    ring = BatchDecoder(config=config, seed=3,
+                        max_workers=2).decode_epochs(traces)
+    assert [_stream_fingerprint(r) for r in ring] == fingerprints
 
+    short_first = [traces[0].slice(0, 2000)] + list(traces)
+    serial = BatchDecoder(config=config, seed=3,
+                          max_workers=1).decode_epochs(short_first)
+    oversized = BatchDecoder(config=config, seed=3,
+                             max_workers=2).decode_epochs(short_first)
+    assert [_stream_fingerprint(r) for r in oversized] == \
+        [_stream_fingerprint(r) for r in serial]
 
-def test_forced_shared_memory_unavailable_raises(config, monkeypatch):
-    import repro.core.engine as engine_module
-    monkeypatch.setattr(engine_module, "_shared_memory", None)
-    with pytest.raises(ConfigurationError):
-        BatchDecoder(config=config, use_shared_memory=True)
-    # Auto-detection degrades to the pickle transport instead.
-    engine = BatchDecoder(config=config, max_workers=1)
-    assert engine.use_shared_memory is False
+    monkeypatch.setattr(ring_module, "_shared_memory", None)
+    inline = BatchDecoder(config=config, seed=3,
+                          max_workers=2).decode_epochs(traces)
+    assert [_stream_fingerprint(r) for r in inline] == fingerprints
 
 
 def test_iter_decode_streams_lazily_from_generator(traces, config):

@@ -1,20 +1,25 @@
 """Supervision tests for the batch engine: crashes, hangs, retries,
-and resource cleanup.
+exact blame, and resource cleanup.
 
 The crash/hang helpers monkeypatch :func:`repro.core.engine._decode_task`
-in the parent process; the pool's workers are forked *after* the patch
-(pools spawn lazily at first submit, and respawned pools re-fork), so
-the sabotage propagates into every worker generation.
+in the parent process; the engine's children are forked *after* the
+patch (children spawn lazily at first dispatch, and every replacement
+re-forks), so the sabotage propagates into every child.
 """
 
 import glob
 import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import engine as engine_module
+from repro.core import ring as ring_module
 from repro.core.engine import BatchDecoder, EpochOutcome, _decode_task
 from repro.utils.rng import spawn_seed_sequences
 
@@ -22,7 +27,7 @@ from ..conftest import build_decoder, build_network
 
 N_EPOCHS = 6
 
-if engine_module._shared_memory is None:  # pragma: no cover
+if ring_module._shared_memory is None:  # pragma: no cover
     pytest.skip("platform lacks multiprocessing.shared_memory",
                 allow_module_level=True)
 
@@ -203,8 +208,7 @@ def _shm_blocks():
 class TestSharedMemoryHygiene:
     def test_abandoned_iteration_leaks_no_blocks(self, config, traces):
         before = _shm_blocks()
-        engine = BatchDecoder(config=config, seed=0, max_workers=2,
-                              use_shared_memory=True)
+        engine = BatchDecoder(config=config, seed=0, max_workers=2)
         iterator = engine.iter_decode(traces)
         next(iterator)
         iterator.close()  # consumer walks away mid-batch
@@ -219,7 +223,122 @@ class TestSharedMemoryHygiene:
 
         monkeypatch.setattr(engine_module, "_decode_task", crashing)
         before = _shm_blocks()
-        engine = BatchDecoder(config=config, seed=0, max_workers=2,
-                              use_shared_memory=True)
+        engine = BatchDecoder(config=config, seed=0, max_workers=2)
         engine.decode_outcomes(traces)
         assert _shm_blocks() == before
+
+
+def _crash_at(victim):
+    def crashing(index, trace, seed_seq, config=None):
+        if index == victim:
+            os._exit(17)
+        return _decode_task(index, trace, seed_seq, config=config)
+    return crashing
+
+
+def _hang_at(victim):
+    def hanging(index, trace, seed_seq, config=None):
+        if index == victim:
+            time.sleep(300)
+        return _decode_task(index, trace, seed_seq, config=config)
+    return hanging
+
+
+class TestExactBlame:
+    """A lost child held exactly one task, so only that task pays."""
+
+    def test_crash_charges_only_the_victim(self, config, traces,
+                                           monkeypatch):
+        monkeypatch.setattr(engine_module, "_decode_task", _crash_at(2))
+        engine = BatchDecoder(config=config, seed=0, max_workers=2)
+        outcomes = engine.decode_outcomes(traces)
+        assert [o.attempts for o in outcomes] == [1, 1, 2, 1, 1, 1]
+
+    def test_hang_charges_only_the_victim(self, config, traces,
+                                          monkeypatch):
+        monkeypatch.setattr(engine_module, "_decode_task", _hang_at(1))
+        engine = BatchDecoder(config=config, seed=0, max_workers=2,
+                              task_timeout_s=1.0)
+        outcomes = engine.decode_outcomes(traces)
+        assert [o.attempts for o in outcomes] == [1, 2, 1, 1, 1, 1]
+
+
+def _child_pids():
+    """Live (or unreaped) OS-level children of this process."""
+    pids = set()
+    for task in Path(f"/proc/{os.getpid()}/task").iterdir():
+        try:
+            pids.update(int(p) for p in
+                        (task / "children").read_text().split())
+        except OSError:  # thread exited mid-scan
+            continue
+    return pids
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs /proc/<pid>/task/<tid>/children")
+class TestNothingOutlivesABatch:
+    @pytest.mark.parametrize("ending",
+                             ["finished", "abandoned", "crashed", "hung"])
+    def test_no_child_or_shm_block_survives(self, ending, config, traces,
+                                            monkeypatch):
+        from multiprocessing import resource_tracker
+        resource_tracker.ensure_running()  # a long-lived helper, not ours
+        pids_before, shm_before = _child_pids(), _shm_blocks()
+        if ending == "crashed":
+            monkeypatch.setattr(engine_module, "_decode_task",
+                                _crash_at(2))
+        if ending == "hung":
+            monkeypatch.setattr(engine_module, "_decode_task", _hang_at(1))
+        engine = BatchDecoder(config=config, seed=0, max_workers=2,
+                              task_timeout_s=1.0)
+        iterator = engine.iter_outcomes(traces)
+        if ending == "abandoned":
+            next(iterator)
+            iterator.close()
+        else:
+            assert len(list(iterator)) == len(traces)
+        assert _child_pids() - pids_before == set()
+        assert _shm_blocks() == shm_before
+
+
+_LONE_INPUT = textwrap.dedent("""
+    import os, sys, time
+    import numpy as np
+    from repro.core import engine
+    from repro.types import EpochResult, IQTrace
+
+    def sabotaged(index, trace, seed_seq, config=None):
+        if sys.argv[1] == "hang":
+            time.sleep(3.0)
+            return EpochResult()
+        os._exit(17)
+
+    engine._decode_task = sabotaged
+    trace = IQTrace(samples=np.ones(256, dtype=np.complex128),
+                    sample_rate_hz=1e6)
+    outcome, = engine.BatchDecoder(
+        max_workers=2, task_timeout_s=1.0).decode_outcomes([trace])
+    print(outcome.status, outcome.attempts, outcome.error)
+""")
+
+
+class TestLoneInput:
+    """With ``max_workers > 1`` a batch of one input is supervised like
+    any other: the watchdog bounds it and its crash kills a child, not
+    the caller.  Each case runs in its own interpreter, since at worst
+    it takes that interpreter down."""
+
+    @pytest.mark.parametrize("fault, error", [
+        ("hang", "TaskHangError"), ("crash", "WorkerCrashError")])
+    def test_lone_input_is_supervised(self, fault, error):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", _LONE_INPUT, fault],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        status, attempts, message = proc.stdout.strip().split(" ", 2)
+        assert (status, attempts) == ("failed", "2")
+        assert error in message

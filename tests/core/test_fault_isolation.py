@@ -1,5 +1,7 @@
 """Per-stream fault isolation and session-cache quarantine tests."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,32 @@ class TestThreeWayCollisionFallback:
         assert all(not f.expected for f in faults)
         assert any(f.n_colliders >= 3 for f in faults)
         assert result.degraded
+
+    def test_collider_diagnosis_timed_into_detect(self, capture, result,
+                                                  fast_profile,
+                                                  monkeypatch):
+        """The diagnosis sweep counts toward ``detect``: slowing it by
+        a sleep grows that stage by the sleep, and leaves the reported
+        collider counts alone."""
+        from repro.core.stages import collision as collision_stage
+        diagnose = collision_stage._diagnose_colliders
+        sleep_s, calls = 0.2, []
+
+        def slow_diagnosis(diffs, report):
+            calls.append(1)
+            time.sleep(sleep_s)
+            return diagnose(diffs, report)
+
+        base = build_decoder(fast_profile).decode_epoch(capture.trace)
+        monkeypatch.setattr(collision_stage, "_diagnose_colliders",
+                            slow_diagnosis)
+        slowed = build_decoder(fast_profile).decode_epoch(capture.trace)
+        assert calls
+        grown = (slowed.stage_timings["detect"]
+                 - base.stage_timings["detect"])
+        assert grown >= 0.8 * sleep_s * len(calls)
+        assert [f.n_colliders for f in slowed.degraded_streams] == \
+            [f.n_colliders for f in result.degraded_streams]
 
     def test_other_grid_still_decodes(self, capture, result):
         matches = {m.tag_id: m for m in match_streams(capture, result)}

@@ -13,18 +13,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import ring as ring_module
+from repro.core.ring import ChunkRing, RingView
 from repro.errors import FrameTooLargeError, RingFullError, ServiceError
-from repro.service import (ChunkRing, RingView, shard_index,
-                           stream_seed)
+from repro.service import shard_index, stream_seed
 
 
 def _chunk(n: int, fill: complex = 1 + 1j) -> np.ndarray:
     return np.full(n, fill, dtype=np.complex128)
 
 
-@pytest.fixture(params=[False, True], ids=["private", "shm"])
-def ring(request):
-    r = ChunkRing(16, use_shared_memory=request.param)
+@pytest.fixture(params=["private", "shm"])
+def ring(request, monkeypatch):
+    if request.param == "private":
+        # A host without POSIX shared memory: a private-buffer ring.
+        monkeypatch.setattr(ring_module, "_shared_memory", None)
+    r = ChunkRing(16)
     yield r
     r.close()
 
@@ -183,7 +187,7 @@ class TestCrossProcess:
 
     @pytest.fixture()
     def shm_ring(self):
-        r = ChunkRing(16, use_shared_memory=True)
+        r = ChunkRing(16)
         if r.shm_name is None:
             pytest.skip("no shared memory on this platform")
         yield r

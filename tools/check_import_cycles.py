@@ -55,6 +55,14 @@ FORBIDDEN_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.core.stages.", "repro.core.engine"),
 )
 
+#: (lower, upper) package pairs: nothing under ``lower`` may import
+#: anything under ``upper`` at module scope.  The streaming service is
+#: a client of the decoder core's worker primitive and ring, never the
+#: reverse.
+FORBIDDEN_LAYERS: Tuple[Tuple[str, str], ...] = (
+    ("repro.core", "repro.service"),
+)
+
 #: The kernels are the bottom of the compute stack: plain arrays in,
 #: plain arrays out.  Nothing under this prefix may import anything
 #: from ``repro`` except its own siblings and the entries in the
@@ -207,6 +215,13 @@ def check() -> List[str]:
             if importer.startswith(prefix) and imported in edges:
                 problems.append(
                     f"forbidden import: {importer} -> {imported}")
+    for lower, upper in FORBIDDEN_LAYERS:
+        for importer, edges in graph.items():
+            if importer.startswith(lower):
+                problems.extend(
+                    f"forbidden import: {importer} -> {imported}"
+                    for imported in sorted(edges)
+                    if imported.startswith(upper))
     for importer, edges in graph.items():
         if not importer.startswith(KERNELS_PREFIX):
             continue
