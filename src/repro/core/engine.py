@@ -335,11 +335,6 @@ class BatchDecoder:
                  for index, trace in enumerate(traces))
         yield from self._iter_task_outcomes(tasks, None)
 
-    def run_trials(self, trial_fn: Callable,
-                   trials: Sequence[TrialSpec]) -> List[EpochOutcome]:
-        """Run every trial; one :class:`EpochOutcome` per input."""
-        return list(self.iter_trials(trial_fn, trials))
-
     def iter_trials(self, trial_fn: Callable,
                     trials: Iterable[TrialSpec]
                     ) -> Iterator[EpochOutcome]:
@@ -526,14 +521,6 @@ class BatchDecoder:
         total: Dict[str, float] = {}
         for result in results:
             StatsAccumulator.merge_timing(total, result.stage_timings)
-        return total
-
-    def aggregate_fidelity_stats(self, results: Iterable[EpochResult]
-                                 ) -> Dict[str, int]:
-        """Sum fidelity-gate counters across epoch results."""
-        total: Dict[str, int] = {}
-        for result in results:
-            StatsAccumulator.merge_counts(total, result.fidelity_stats)
         return total
 
 

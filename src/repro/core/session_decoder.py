@@ -4,8 +4,7 @@ Split out of :mod:`repro.core.session` so the import graph stays
 layered: ``session.py`` holds the warm-start *state* (trackers,
 matching, eviction) and is imported by the stage modules' typing; this
 module composes that state with the stage-graph decoder and therefore
-sits *above* :mod:`repro.core.pipeline`.  ``repro.core.session``
-re-exports :class:`SessionDecoder` lazily for compatibility.
+sits *above* :mod:`repro.core.pipeline`.
 """
 
 from __future__ import annotations

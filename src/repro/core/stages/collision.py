@@ -66,7 +66,8 @@ class CollisionStage:
         tracker = scope.tracker
         if not (ctx.config.enable_iq_separation and diffs.size >= 9):
             return
-        noise_scale = hold_cluster_noise(diffs)
+        with ctx.stats.stage("detect"):
+            noise_scale = hold_cluster_noise(diffs)
         report = None
         if scope.trusted and tracker.arity == 1 \
                 and 3 in tracker.centroids \

@@ -84,7 +84,8 @@ class AnalogFallbackStage:
                         ctx.trace, track, ctx.edges,
                         detector=ctx.edge_detector,
                         window_override=ctx.refine_window(track))
-                observations = project_single(diffs)
+                with ctx.stats.stage("separate"):
+                    observations = project_single(diffs)
                 stream = assemble_stream(ctx, observations, track,
                                          collided=False)
             except (DecodeError, ConfigurationError):

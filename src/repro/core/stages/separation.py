@@ -13,7 +13,7 @@ paired k-means) deciding whether the collinear split is needed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -112,9 +112,9 @@ def decode_collinear(ctx: DecodeContext, diffs: np.ndarray,
     """Attempt the 1-D scalar-lattice split of a collinear collision;
     both recovered frames must pass the header gate."""
     adaptive = ctx.fidelity.active
-    rng = ctx.track_rng(track) if adaptive else ctx.rng
     try:
         with ctx.stats.stage("separate"):
+            rng = ctx.track_rng(track) if adaptive else ctx.rng
             separation = separate_collinear(
                 diffs, rng=rng, n_init=3 if adaptive else 6,
                 init_levels=level_hint if adaptive else None)
@@ -148,7 +148,8 @@ class SeparationStage:
         session = ctx.session
         tracker = scope.tracker
         diffs = scope.diffs
-        observations, proj_scale = project_single_scaled(diffs)
+        with ctx.stats.stage("separate"):
+            observations, proj_scale = project_single_scaled(diffs)
         scope.observations = observations
         scope.proj_scale = proj_scale
         proj_fits: Dict[int, KMeansResult] = scope.proj_fits
@@ -200,10 +201,10 @@ class SeparationStage:
         if multilevel is None:
             proj_hints = (tracker.proj_hints() if scope.trusted
                           else None)
-            dec_rng = (ctx.track_rng(scope.track) if pol.active
-                       else ctx.rng)
             ml_init = 2 if pol.active else 3
             with ctx.stats.stage("detect"):
+                dec_rng = (ctx.track_rng(scope.track) if pol.active
+                           else ctx.rng)
                 multilevel = (can_check and looks_multilevel(
                     observations, dec_rng,
                     centroid_hints=proj_hints,

@@ -29,8 +29,6 @@ from ...types import EpochResult, StreamFault
 from ...utils.timing import StageTimer, merge_timings
 
 #: Counter keys every session epoch reports (hit/miss per warm stage).
-#: Canonical home of the constant formerly defined in
-#: :mod:`repro.core.session` (which re-exports it for compatibility).
 CACHE_STAT_KEYS: Tuple[str, ...] = (
     "fold_hits", "fold_misses",
     "kmeans_hits", "kmeans_misses",

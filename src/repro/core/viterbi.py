@@ -134,14 +134,6 @@ class ViterbiDecoder:
         self._log_trans = _transition_matrix(p)
         return p
 
-    def _emission_loglik(self, observations: np.ndarray,
-                         sigma: float) -> np.ndarray:
-        """(T, 4) log-likelihood of each observation under each state."""
-        obs = observations[:, None]
-        z = (obs - STATE_MEANS[None, :]) / sigma
-        return -0.5 * z ** 2 - math.log(sigma) \
-            - 0.5 * math.log(2.0 * math.pi)
-
     def decode_states(self, observations: np.ndarray,
                       initial_state: Optional[int] = None) -> np.ndarray:
         """Most likely state sequence for projected observations.

@@ -44,8 +44,8 @@ regenerates from the spec alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -196,10 +196,6 @@ class ScenarioSpec:
         if self.profile_name is not None:
             return _PROFILES[self.profile_name]()
         return profile or SimulationProfile.fast()
-
-    def with_(self, **changes) -> "ScenarioSpec":
-        """A copy with the given fields replaced (sweep-cell helper)."""
-        return replace(self, **changes)
 
 
 class ScenarioSynth:

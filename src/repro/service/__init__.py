@@ -7,8 +7,8 @@ arriving IQ chunks from many readers, routes them to per-shard workers
 (``ServiceConfig.executor``) for multi-core scaling — whose
 :class:`~repro.core.session_decoder.SessionDecoder` caches stay warm
 chunk to chunk, sheds load under overload instead of growing memory,
-and exports live Prometheus-style metrics aggregated across
-executors.
+and exports live Prometheus-style metrics, counted in the service
+process from each chunk's verdict under either executor.
 
 See ``docs/ARCHITECTURE.md`` (service layer) and ``docs/API.md`` for
 the full reference; ``python -m repro.service`` runs a quickstart
@@ -23,13 +23,13 @@ from .config import (BLOCK, EXECUTOR_ENV, PROCESS, SHED_OLDEST, THREAD,
                      ServiceConfig)
 from .framing import ChunkFrame
 from .metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
-                      MetricsRegistry, RegistrySnapshotter,
-                      StageLatencyObserver, diff_snapshot)
+                      MetricsRegistry)
 from .process_worker import ProcessShardWorker
 from .router import shard_index, stream_seed
 from .service import DecodeService, ServiceStats, merge_stream_results
 from .worker import (STATUS_DEGRADED, STATUS_FAILED, STATUS_OK,
-                     STATUS_SHED, ChunkResult, SessionPool, ShardWorker)
+                     STATUS_SHED, ChunkResult, SessionPool, ShardWorker,
+                     Verdict)
 
 __all__ = [
     "CHAOS_COCKTAILS", "ChaosConfig", "ChaosCrashError",
@@ -39,11 +39,10 @@ __all__ = [
     "ServiceConfig",
     "ChunkFrame",
     "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram",
-    "MetricsRegistry", "RegistrySnapshotter", "StageLatencyObserver",
-    "diff_snapshot",
+    "MetricsRegistry",
     "ProcessShardWorker",
     "shard_index", "stream_seed",
     "DecodeService", "ServiceStats", "merge_stream_results",
     "STATUS_DEGRADED", "STATUS_FAILED", "STATUS_OK", "STATUS_SHED",
-    "ChunkResult", "SessionPool", "ShardWorker",
+    "ChunkResult", "SessionPool", "ShardWorker", "Verdict",
 ]

@@ -146,15 +146,6 @@ class _ChaosDecoder:
         self._rng = make_rng((chaos.seed, stream_seed_, 0xC4A05))
         self._injector = injector
 
-    @property
-    def cache_stats(self):
-        return getattr(self._inner, "cache_stats", None)
-
-    def add_observer(self, observer) -> None:
-        add = getattr(self._inner, "add_observer", None)
-        if add is not None:
-            add(observer)
-
     def decode_epoch(self, trace, sample_offset: float = 0.0):
         chaos = self._chaos
         if chaos.corrupt_rate and \

@@ -1,38 +1,26 @@
 """Prometheus-style live metrics for the streaming decode service.
 
 A tiny, dependency-free metrics kernel: :class:`Counter`,
-:class:`Gauge` and :class:`Histogram` families with label support, one
-:class:`MetricsRegistry` that renders the whole set in the Prometheus
-text exposition format (``render()``), and a
-:class:`StageLatencyObserver` that taps the decode pipeline's
-:class:`~repro.core.stages.context.StageObserver` seam to turn every
-stage invocation into a latency-histogram observation and every
-confined stream fault into a counter bump.
+:class:`Gauge` and :class:`Histogram` families with label support, and
+one :class:`MetricsRegistry` that renders the whole set in the
+Prometheus text exposition format (``render()``).
 
 Everything is thread-safe (shard workers bump from their own threads
 while the ingest loop renders snapshots) and allocation-light: a
 labelled series is one list of floats behind one dict lookup.
 
-Cross-process aggregation (the ``executor="process"`` shard workers)
-is snapshot-delta based: a child process runs its *own* registry,
-ships the cell-wise difference since its last report with each decode
-verdict (:class:`RegistrySnapshotter` → :func:`diff_snapshot`), and
-the parent folds the delta into the one exported registry
-(:meth:`MetricsRegistry.apply_delta`).  Counters and histogram cells
-add; gauges adopt the child's latest value — correct here because
-every child-produced gauge series carries that child's unique
-``shard`` label.  A child respawn simply starts a fresh snapshotter:
-deltas from the old incarnation are already merged, so cumulative
-counters never go backwards.
+Only the service process holds a registry.  Shard workers of both
+executors count every decode into it from the chunk's verdict and its
+:class:`~repro.types.EpochResult` (see
+:meth:`repro.service.worker.ShardWorker._complete`), so no metric
+crosses a process boundary.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from ..core.stages.context import StageObserver
+from typing import Dict, List, Sequence, Tuple
 
 #: Default latency buckets (seconds): spans sub-ms metric taps through
 #: multi-second overload queueing.
@@ -80,24 +68,6 @@ class _Family:
     def header(self) -> List[str]:
         return [f"# HELP {self.name} {self.help}",
                 f"# TYPE {self.name} {self.kind}"]
-
-    def snapshot_cells(self) -> Dict[Tuple[Tuple[str, str], ...],
-                                     List[float]]:
-        """Copy of every cell's raw values, keyed by label items."""
-        with self._lock:
-            return {key: list(cell)
-                    for key, cell in self._series.items()}
-
-    def merge_cell(self, key: Tuple[Tuple[str, str], ...],
-                   values: Sequence[float]) -> None:
-        """Fold a delta cell in: element-wise add (gauges override)."""
-        with self._lock:
-            cell = self._series.get(key)
-            if cell is None:
-                self._series[key] = list(values)
-                return
-            for i, value in enumerate(values):
-                cell[i] += value
 
 
 class Counter(_Family):
@@ -149,12 +119,6 @@ class Gauge(_Family):
         cell = self._cell(labels, lambda: [0.0])
         with self._lock:
             return cell[0]
-
-    def merge_cell(self, key: Tuple[Tuple[str, str], ...],
-                   values: Sequence[float]) -> None:
-        """A gauge delta is the child's current value: adopt it."""
-        with self._lock:
-            self._series[key] = list(values)
 
     def render(self) -> List[str]:
         lines = self.header()
@@ -286,138 +250,3 @@ class MetricsRegistry:
         for family in families:
             lines.extend(family.render())
         return "\n".join(lines) + "\n"
-
-    def snapshot(self) -> Dict[str, dict]:
-        """Raw cumulative state of every family, plain picklable data.
-
-        ``{name: {"kind", "help", "buckets" (histograms), "cells"}}`` —
-        the wire format the process-executor children diff and ship.
-        """
-        with self._lock:
-            families = list(self._families.items())
-        out: Dict[str, dict] = {}
-        for name, family in families:
-            entry = {"kind": family.kind, "help": family.help,
-                     "cells": family.snapshot_cells()}
-            if isinstance(family, Histogram):
-                entry["buckets"] = family.buckets
-            out[name] = entry
-        return out
-
-    def apply_delta(self, delta: Dict[str, dict]) -> None:
-        """Fold a :func:`diff_snapshot` delta from another registry in.
-
-        Families are created on first sight (same name/kind rules as
-        direct registration); counter and histogram cells add
-        element-wise, gauge cells adopt the delta's value.
-        """
-        for name, entry in delta.items():
-            kind = entry["kind"]
-            help_text = entry.get("help", "")
-            if kind == Counter.kind:
-                family = self.counter(name, help_text)
-            elif kind == Gauge.kind:
-                family = self.gauge(name, help_text)
-            elif kind == Histogram.kind:
-                family = self.histogram(
-                    name, help_text,
-                    buckets=entry.get("buckets", DEFAULT_BUCKETS))
-            else:
-                raise ValueError(f"unknown metric kind {kind!r}")
-            for key, values in entry["cells"].items():
-                family.merge_cell(key, values)
-
-    def merge_counts(self, counter: Counter,
-                     counts: Optional[Dict[str, int]],
-                     **labels) -> None:
-        """Fold a decode-side counter dict (cache stats, fidelity
-        stats) into a labelled counter family, one series per key."""
-        if not counts:
-            return
-        for key, value in counts.items():
-            if value:
-                counter.inc(float(value), kind=key, **labels)
-
-
-def diff_snapshot(current: Dict[str, dict],
-                  previous: Dict[str, dict]) -> Dict[str, dict]:
-    """Cell-wise ``current - previous`` of two registry snapshots.
-
-    Counter and histogram cells subtract (so repeated applications
-    accumulate correctly); gauge cells pass through at their current
-    value (a gauge's delta *is* its latest reading).  All-zero cells
-    and empty families are dropped, keeping the wire payload of an
-    idle child a few bytes.
-    """
-    delta: Dict[str, dict] = {}
-    for name, entry in current.items():
-        prev_cells = previous.get(name, {}).get("cells", {})
-        cells = {}
-        for key, values in entry["cells"].items():
-            if entry["kind"] == Gauge.kind:
-                cells[key] = list(values)
-                continue
-            old = prev_cells.get(key)
-            if old is None:
-                changed = list(values)
-            else:
-                changed = [v - o for v, o in zip(values, old)]
-            if any(changed):
-                cells[key] = changed
-        if cells:
-            out = {"kind": entry["kind"], "help": entry["help"],
-                   "cells": cells}
-            if "buckets" in entry:
-                out["buckets"] = entry["buckets"]
-            delta[name] = out
-    return delta
-
-
-class RegistrySnapshotter:
-    """Incremental delta source over one (child-side) registry.
-
-    Each :meth:`delta` call returns what changed since the previous
-    call — exactly what a process shard worker attaches to a verdict
-    message so the parent's registry stays a few milliseconds behind
-    the child's, never diverging.
-    """
-
-    def __init__(self, registry: MetricsRegistry):
-        self._registry = registry
-        self._last = registry.snapshot()
-
-    def delta(self) -> Dict[str, dict]:
-        current = self._registry.snapshot()
-        delta = diff_snapshot(current, self._last)
-        self._last = current
-        return delta
-
-
-class StageLatencyObserver(StageObserver):
-    """StageObserver that exports per-stage latency + fault metrics.
-
-    One observer is attached to every decoder a shard worker builds;
-    all observers of one service share the registry, so the exported
-    series aggregate across shards while the ``shard`` label keeps
-    them separable.
-    """
-
-    def __init__(self, registry: MetricsRegistry, shard: int,
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
-        self._latency = registry.histogram(
-            "lf_stage_latency_seconds",
-            "Wall-clock latency of one decode-stage invocation.",
-            buckets=buckets)
-        self._faults = registry.counter(
-            "lf_stream_faults_total",
-            "Stream hypotheses confined to a StreamFault, by stage.")
-        self._shard = str(shard)
-
-    def on_stage_end(self, stage, ctx, elapsed_s: float) -> None:
-        self._latency.observe(elapsed_s, stage=stage.name,
-                              shard=self._shard)
-
-    def on_stream_fault(self, fault, ctx) -> None:
-        self._faults.inc(1.0, stage=fault.stage,
-                         expected=str(bool(fault.expected)).lower(),
-                         shard=self._shard)

@@ -40,10 +40,11 @@ Supervision verdicts per frame:
 * either way the parent retires the frame's ring region itself, so a
   dying child can never leak a ring slot or pin ``/dev/shm``.
 
-Metrics produced in the child (retries, session respawns/evictions,
-stage latencies) ride back on each verdict as a registry snapshot
-*delta* (:func:`repro.service.metrics.diff_snapshot`) and are merged
-into the parent's registry, so one exposition covers both executors.
+The child holds no metrics.  It answers each frame with the pool's
+:class:`~repro.service.worker.Verdict`, sent back unchanged, and the
+parent counts every metric from it in
+:meth:`~repro.service.worker.ShardWorker._complete`, exactly as a
+thread shard does.
 
 Children are forked in :meth:`ProcessShardWorker.prestart`, before the
 service starts any dispatcher thread: forking a single-threaded parent
@@ -55,24 +56,16 @@ there and unlink a block the parent still owns.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
 from ..core.child import CRASH_STRIKES, ChildLost, SupervisedChild
 from ..core.ring import RingView
 from ..errors import ConfigurationError
-from ..types import EpochResult
 from .config import ServiceConfig
 from .framing import ChunkFrame
-from .metrics import MetricsRegistry, RegistrySnapshotter
+from .metrics import MetricsRegistry
 from .worker import (STATUS_FAILED, ChunkResult, FifoLock,
-                     SessionPool, ShardWorker)
-
-#: How long :meth:`ProcessShardWorker.cache_stats` waits for the child.
-_QUERY_TIMEOUT_S = 5.0
-
-#: Verdict tuple shipped child → parent: (status, result, attempts,
-#: error, decode_s).
-_Verdict = Tuple[str, Optional[EpochResult], int, Optional[str], float]
+                     SessionPool, ShardWorker, Verdict)
 
 
 class ProcessShardWorker(ShardWorker):
@@ -96,7 +89,6 @@ class ProcessShardWorker(ShardWorker):
                 "executor='process' needs a shared-memory ring "
                 "(this host has no POSIX shared memory, or /dev/shm "
                 "has no room)")
-        self._registry = registry
         # Lock-step IPC: one command in flight per child, ever.
         self._ipc = threading.Lock()
         self._child: Optional[SupervisedChild] = None
@@ -130,36 +122,34 @@ class ProcessShardWorker(ShardWorker):
 
     def _decode_frame(self, frame: ChunkFrame) -> ChunkResult:
         try:
-            status, result, attempts, error, decode_s = \
-                self._ipc_decode(frame)
+            verdict = self._ipc_decode(frame)
         finally:
             # The parent owns retirement: whatever happened to the
             # child, the frame's ring region is reclaimed here and the
             # slot cannot leak.
             if frame.frame_id >= 0:
                 self.ring.retire(frame.frame_id)
-        return self._complete(frame, status, result, attempts, error,
-                              decode_s)
+        return self._complete(frame, verdict)
 
-    def _ipc_decode(self, frame: ChunkFrame) -> _Verdict:
+    def _ipc_decode(self, frame: ChunkFrame) -> Verdict:
         region = ((-1, 0) if frame.frame_id < 0
                   else self.ring.region(frame.frame_id))
         with self._ipc:
             for strike in range(1, CRASH_STRIKES + 1):
                 if self._child is None or not self._child.alive:
                     self._respawn_child_locked()
-                self._child.send(("frame", frame) + region,
+                self._child.send((frame,) + region,
                                  self.config.child_timeout_s)
                 try:
-                    *verdict, delta = self._child.recv()
+                    return self._child.recv()
                 except ChildLost as lost:
                     self._respawn_child_locked()
                     if lost.kind == "died":
                         # Deliberate in-decode kill (chaos): the child
                         # announced it.  Fail the frame — the thread
                         # executor's verdict for the same fault.
-                        return (STATUS_FAILED, None, 1,
-                                f"worker died: {lost.detail}", 0.0)
+                        return Verdict(STATUS_FAILED, attempts=1,
+                                       error=f"worker died: {lost.detail}")
                     if lost.kind == "hang":
                         last_error = (
                             f"worker process hung > "
@@ -169,49 +159,26 @@ class ProcessShardWorker(ShardWorker):
                         last_error = (
                             f"worker process died (strike "
                             f"{strike}/{CRASH_STRIKES})")
-                    continue
-                if delta:
-                    self._registry.apply_delta(delta)
-                return tuple(verdict)
-            return STATUS_FAILED, None, CRASH_STRIKES, last_error, 0.0
-
-    # -- pass-through queries ----------------------------------------------
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Warm-cache counters fetched from the child over the pipe
-        (empty when the child is between incarnations)."""
-        with self._ipc:
-            if self._child is None or not self._child.alive:
-                return {}
-            self._child.send(("cache_stats",), _QUERY_TIMEOUT_S)
-            try:
-                return self._child.recv()
-            except ChildLost:
-                self._child = None
-                return {}
+            return Verdict(STATUS_FAILED, attempts=CRASH_STRIKES,
+                           error=last_error)
 
 
 def _shard_child(shard_id: int, config: ServiceConfig,
                  ring_name: str) -> Callable:
-    """Build a shard child's handler: decode frames, answer queries.
+    """Build a shard child's handler: decode one frame per message.
 
-    Runs the exact :class:`SessionPool` the thread executor runs,
-    against the child's own registry; every verdict ships the
-    registry's delta since the last one so the parent's exposition
-    stays live.  A ``BaseException`` out of the decode (a chaos worker
-    kill) escapes the handler, which the child announces before dying.
+    Runs the exact :class:`SessionPool` the thread executor runs and
+    returns its :class:`Verdict` unchanged.  A ``BaseException`` out
+    of the decode (a chaos worker kill) escapes the handler, which the
+    child announces before dying.
     """
-    registry = MetricsRegistry()
-    snapshotter = RegistrySnapshotter(registry)
-    pool = SessionPool(shard_id, config, registry)
+    pool = SessionPool(shard_id, config)
     ring = RingView(ring_name)
 
     def handle(message):
-        if message[0] == "cache_stats":
-            return pool.cache_stats()
-        _, frame, start, n = message
+        frame, start, n = message
         samples = (frame.inline if frame.frame_id < 0
                    else ring.view(start, n))
-        return pool.decode(frame, samples) + (snapshotter.delta(),)
+        return pool.decode(frame, samples)
 
     return handle

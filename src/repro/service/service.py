@@ -20,12 +20,16 @@ decode everything, indefinitely, with bounded memory.  The dataflow::
         ▼
     ChunkResult → result handlers + Prometheus-style metrics
 
-Everything observable about the decode — per-stage latency histograms
-(via the :class:`~repro.core.stages.context.StageObserver` seam), warm
-cache hit/miss counters, fidelity escalations, stream faults, shed and
-retry counters, per-shard throughput — is exported live through one
-:class:`~repro.service.metrics.MetricsRegistry`
-(:meth:`DecodeService.render_metrics`).
+One :class:`~repro.service.metrics.MetricsRegistry`
+(:meth:`DecodeService.render_metrics`) exports, per shard: ingested,
+completed (by status), shed and retried chunks, decoded samples,
+session evictions and respawns, queue depth, live sessions, chunk
+latency and decode-time histograms, a histogram of each decoded
+chunk's ``stage_timings`` buckets and a counter of the faults in its
+``degraded_streams``.  The ``lf_ring_inline_fallbacks_total`` family
+is registered but nothing increments it; :meth:`DecodeService.snapshot`
+counts inline fallbacks.  Warm-cache hit/miss counters are summed by
+:meth:`DecodeService.cache_stats`, not exported.
 
 Decode output is **bit-identical to the offline path**: chunks of one
 stream decode in submission order through a
@@ -53,18 +57,10 @@ from ..types import EpochResult, IQTrace
 from .config import BLOCK, PROCESS, ServiceConfig
 from .framing import ChunkFrame
 from .metrics import MetricsRegistry
+from .process_worker import ProcessShardWorker
 from .router import shard_index
 from .worker import (STATUS_DEGRADED, STATUS_FAILED, STATUS_OK,
                      STATUS_SHED, ChunkResult, FifoLock, ShardWorker)
-
-
-def _worker_class(config: ServiceConfig):
-    """The shard-worker class for ``config.executor`` (imported lazily
-    so the thread executor never touches multiprocessing)."""
-    if config.executor == PROCESS:
-        from .process_worker import ProcessShardWorker
-        return ProcessShardWorker
-    return ShardWorker
 
 
 @dataclass
@@ -104,7 +100,8 @@ class DecodeService:
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
         self.metrics = MetricsRegistry()
-        worker_cls = _worker_class(self.config)
+        worker_cls = (ProcessShardWorker
+                      if self.config.executor == PROCESS else ShardWorker)
         # One decode at a time across thread shards (see
         # repro.service.worker); process shards never take it.
         decode_lock = FifoLock()
@@ -122,6 +119,7 @@ class DecodeService:
         self._by_status = {STATUS_OK: 0, STATUS_DEGRADED: 0,
                            STATUS_FAILED: 0, STATUS_SHED: 0}
         self._samples_decoded = 0
+        self._cache_stats: Dict[str, int] = {}
         self._inline_fallbacks = 0
         self._stats_lock = threading.Lock()
 
@@ -235,6 +233,9 @@ class DecodeService:
                 self._by_status.get(outcome.status, 0) + 1
             if outcome.result is not None:
                 self._samples_decoded += outcome.frame.n_samples
+                for key, value in outcome.result.cache_stats.items():
+                    self._cache_stats[key] = \
+                        self._cache_stats.get(key, 0) + int(value)
         for handler in self._handlers:
             try:
                 handler(outcome)
@@ -268,12 +269,11 @@ class DecodeService:
         return self.metrics.render()
 
     def cache_stats(self) -> Dict[str, int]:
-        """Warm-cache counters summed across every shard's sessions."""
-        totals: Dict[str, int] = {}
-        for worker in self._workers:
-            for key, value in worker.cache_stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        """Warm-cache hit/miss counters summed over the ``cache_stats``
+        of every chunk decoded so far, on any shard, by live, evicted
+        and respawned sessions alike."""
+        with self._stats_lock:
+            return dict(self._cache_stats)
 
 
 def merge_stream_results(outcomes: Iterable[ChunkResult],

@@ -45,17 +45,17 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.ring import ChunkRing
 from ..core.session_decoder import SessionDecoder
 from ..types import EpochResult, IQTrace
-from .config import BLOCK, SHED_OLDEST, ServiceConfig
+from .config import ServiceConfig
 from .framing import ChunkFrame
-from .metrics import MetricsRegistry, StageLatencyObserver
+from .metrics import MetricsRegistry
 from .router import stream_seed
 
 #: Terminal states a submitted chunk can reach.
@@ -93,6 +93,33 @@ class ChunkResult:
 
 
 @dataclass
+class Verdict:
+    """What :meth:`SessionPool.decode` made of one frame.
+
+    Plain picklable data: a process shard's child sends it back to the
+    parent unchanged, and :meth:`ShardWorker._complete` counts every
+    decode metric from it and from the :class:`EpochResult` it
+    carries.  The parent also builds failed verdicts itself when no
+    pool answered (a dead worker thread, a lost child); those leave
+    ``live_sessions`` at ``None``.
+    """
+
+    status: str
+    result: Optional[EpochResult] = None
+    attempts: int = 0
+    error: Optional[str] = None
+    decode_s: float = 0.0
+    #: Failed attempts the pool followed with another one.
+    retries: int = 0
+    #: Sessions the LRU cap evicted to make room for this stream.
+    evicted: int = 0
+    #: True when this frame's failure restarted its session cold.
+    respawned: bool = False
+    #: Warm sessions the pool held after the decode.
+    live_sessions: Optional[int] = None
+
+
+@dataclass
 class _StreamSlot:
     """One stream's warm decoder plus its health counters."""
 
@@ -105,47 +132,25 @@ class SessionPool:
 
     Everything that must live *next to the decoder state* — the
     per-stream LRU of warm :class:`SessionDecoder`\\ s, the retry
-    budget, the consecutive-failure respawn ladder, the stage-latency
-    observer — is collected here so the thread executor can run it
-    in-process and the process executor can run the **same code**
-    inside each shard's child against the child's own
-    :class:`MetricsRegistry` (shipped back as snapshot deltas).
+    budget, the consecutive-failure respawn ladder — is collected here
+    so the thread executor can run it in-process and the process
+    executor can run the **same code** inside each shard's child.
 
-    :meth:`decode` returns a plain verdict tuple
-    ``(status, result, attempts, error, decode_s)`` rather than a
-    :class:`ChunkResult` because across a process boundary the frame's
-    bookkeeping (latency, ring retire, completion callbacks) belongs
-    to the parent.
+    The pool holds no metrics.  :meth:`decode` returns a
+    :class:`Verdict` rather than a :class:`ChunkResult` because the
+    frame's bookkeeping (latency, ring retire, metrics, completion
+    callbacks) belongs to the shard worker in the service process.
     """
 
-    def __init__(self, shard_id: int, config: ServiceConfig,
-                 registry: MetricsRegistry):
+    def __init__(self, shard_id: int, config: ServiceConfig):
         self.shard_id = shard_id
         self.config = config
         self._sessions: "OrderedDict[Tuple[int, int], _StreamSlot]" = \
             OrderedDict()
-        self._observer = StageLatencyObserver(
-            registry, shard_id, buckets=config.latency_buckets)
-        self._shard_label = str(shard_id)
-        self._m_retries = registry.counter(
-            "lf_chunk_retries_total",
-            "Decode attempts beyond the first, per shard.")
-        self._m_respawns = registry.counter(
-            "lf_session_respawns_total",
-            "Per-stream sessions restarted cold after repeated "
-            "failures.")
-        self._m_evictions = registry.counter(
-            "lf_session_evictions_total",
-            "Per-stream sessions evicted by the LRU cap.")
-        self._m_sessions = registry.gauge(
-            "lf_live_sessions", "Warm per-stream sessions held.")
 
-    def decode(self, frame: ChunkFrame, samples: np.ndarray
-               ) -> Tuple[str, Optional[EpochResult], int,
-                          Optional[str], float]:
+    def decode(self, frame: ChunkFrame, samples: np.ndarray) -> Verdict:
         """Decode one frame's samples through its stream's warm
-        session; returns ``(status, result, attempts, error,
-        decode_s)``.  Never raises for an ordinary decode failure; a
+        session.  Never raises for an ordinary decode failure; a
         ``BaseException`` (chaos worker kill) escapes to the caller.
         """
         # allow_nonfinite: a corrupted shm region (chaos injection,
@@ -156,11 +161,12 @@ class SessionPool:
                         sample_rate_hz=frame.sample_rate_hz,
                         start_time_s=frame.start_time_s,
                         allow_nonfinite=True)
-        slot = self._slot_for(frame.stream_key)
-        attempts = 0
+        slot, evicted = self._slot_for(frame.stream_key)
+        attempts = retries = 0
         error: Optional[str] = None
         result: Optional[EpochResult] = None
         decode_s = 0.0
+        respawned = False
         while attempts < self.config.max_attempts:
             attempts += 1
             start = time.perf_counter()
@@ -173,57 +179,44 @@ class SessionPool:
                 decode_s = time.perf_counter() - start
                 error = f"{type(exc).__name__}: {exc}"
                 if attempts < self.config.max_attempts:
-                    self._m_retries.inc(1.0, shard=self._shard_label)
+                    retries += 1
         if result is None:
             slot.consecutive_failures += 1
             if slot.consecutive_failures >= self.config.respawn_after:
-                self._respawn(frame.stream_key, slot)
+                # Cold-restart a stream whose chunks keep failing.
+                self._sessions[frame.stream_key] = _StreamSlot(
+                    decoder=self._build_decoder(frame.stream_key))
+                respawned = True
             status = STATUS_FAILED
         else:
             slot.consecutive_failures = 0
             status = STATUS_DEGRADED if result.degraded else STATUS_OK
-        return status, result, attempts, error, decode_s
+        return Verdict(status, result, attempts, error, decode_s,
+                       retries=retries, evicted=evicted,
+                       respawned=respawned,
+                       live_sessions=len(self._sessions))
 
-    def _slot_for(self, key: Tuple[int, int]) -> _StreamSlot:
+    def _slot_for(self, key: Tuple[int, int]) -> Tuple[_StreamSlot, int]:
+        """The stream's slot (built on first sight) and the number of
+        sessions evicted to make room for it."""
         slot = self._sessions.get(key)
         if slot is not None:
             self._sessions.move_to_end(key)
-            return slot
+            return slot, 0
+        evicted = 0
         while len(self._sessions) >= self.config.max_sessions:
             self._sessions.popitem(last=False)
-            self._m_evictions.inc(1.0, shard=self._shard_label)
+            evicted += 1
         slot = _StreamSlot(decoder=self._build_decoder(key))
         self._sessions[key] = slot
-        self._m_sessions.set(float(len(self._sessions)),
-                             shard=self._shard_label)
-        return slot
+        return slot, evicted
 
     def _build_decoder(self, key: Tuple[int, int]):
         seed = stream_seed(self.config.seed, *key)
         if self.config.decoder_factory is not None:
             return self.config.decoder_factory(key, seed)
-        decoder = SessionDecoder(self.config.decoder, rng=seed,
-                                 session_config=self.config.session)
-        decoder.add_observer(self._observer)
-        return decoder
-
-    def _respawn(self, key: Tuple[int, int], slot: _StreamSlot) -> None:
-        """Cold-restart a stream whose chunks keep failing."""
-        self._sessions[key] = _StreamSlot(
-            decoder=self._build_decoder(key))
-        self._m_respawns.inc(1.0, shard=self._shard_label,
-                             kind="stream_session")
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Aggregated warm-cache counters across this pool's sessions
-        (hit counters strictly positive = warm state pays)."""
-        totals: Dict[str, int] = {}
-        for slot in list(self._sessions.values()):
-            stats = getattr(slot.decoder, "cache_stats", None)
-            if stats:
-                for k, v in stats.items():
-                    totals[k] = totals.get(k, 0) + int(v)
-        return totals
+        return SessionDecoder(self.config.decoder, rng=seed,
+                              session_config=self.config.session)
 
 
 class FifoLock:
@@ -277,11 +270,10 @@ class ShardWorker:
         self._stop = False
         self._idle = threading.Condition(self._cond)
         self._in_flight = 0
-        # Thread executor: the pool (warm sessions, retries, stage
-        # observer) lives right here.  The process executor's subclass
-        # leaves this one cold and runs a twin inside the child.
-        self.pool = SessionPool(shard_id, config, registry)
-        shard = str(shard_id)
+        # Thread executor: the pool (warm sessions, retries) lives
+        # right here.  The process executor's subclass leaves this one
+        # cold and runs a twin inside the child.
+        self.pool = SessionPool(shard_id, config)
         self._m_ingested = registry.counter(
             "lf_chunks_ingested_total",
             "Chunks accepted onto a shard queue.")
@@ -298,6 +290,14 @@ class ShardWorker:
             "lf_session_respawns_total",
             "Per-stream sessions restarted cold after repeated "
             "failures.")
+        self._m_retries = registry.counter(
+            "lf_chunk_retries_total",
+            "Decode attempts beyond the first, per shard.")
+        self._m_evictions = registry.counter(
+            "lf_session_evictions_total",
+            "Per-stream sessions evicted by the LRU cap.")
+        self._m_sessions = registry.gauge(
+            "lf_live_sessions", "Warm per-stream sessions held.")
         self._m_inline = registry.counter(
             "lf_ring_inline_fallbacks_total",
             "Chunks carried inline because the ring had no room.")
@@ -311,7 +311,16 @@ class ShardWorker:
             "lf_chunk_decode_seconds",
             "Decode call latency per chunk (queue wait excluded).",
             buckets=config.latency_buckets)
-        self._shard_label = shard
+        self._m_stages = registry.histogram(
+            "lf_stage_latency_seconds",
+            "Seconds one decoded chunk spent in each stage_timings "
+            "bucket.",
+            buckets=config.latency_buckets)
+        self._m_faults = registry.counter(
+            "lf_stream_faults_total",
+            "Stream faults in decoded chunks' degraded_streams, by "
+            "stage.")
+        self._shard_label = str(shard_id)
         self._thread: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -454,16 +463,9 @@ class ShardWorker:
                 # _decode_frame's finally; deliver its terminal verdict
                 # so the service's accounting stays exact, then let the
                 # thread die — ensure_alive()/join_idle() respawn it.
-                self._m_done.inc(1.0, shard=self._shard_label,
-                                 status=STATUS_FAILED)
-                latency = time.perf_counter() - frame.submitted_at
-                self._m_latency.observe(latency,
-                                        shard=self._shard_label,
-                                        status=STATUS_FAILED)
-                self._on_result(ChunkResult(
-                    frame=frame, status=STATUS_FAILED,
-                    error=f"worker died: {type(exc).__name__}: {exc}",
-                    latency_s=latency, shard=self.shard_id))
+                self._on_result(self._complete(frame, Verdict(
+                    STATUS_FAILED,
+                    error=f"worker died: {type(exc).__name__}: {exc}")))
                 raise
             finally:
                 with self._cond:
@@ -478,8 +480,7 @@ class ShardWorker:
             # ``with`` releases the lock on a BaseException too (chaos
             # worker kill), so a dying shard cannot wedge the others.
             with self._decode_lock:
-                status, result, attempts, error, decode_s = \
-                    self.pool.decode(frame, samples)
+                verdict = self.pool.decode(frame, samples)
         finally:
             # Retire even when a BaseException (chaos worker kill)
             # aborts the decode: a dead shard must not leak its
@@ -487,31 +488,44 @@ class ShardWorker:
             # /dev/shm backing it pins.
             if frame.frame_id >= 0:
                 self.ring.retire(frame.frame_id)
-        return self._complete(frame, status, result, attempts, error,
-                              decode_s)
+        return self._complete(frame, verdict)
 
-    def _complete(self, frame: ChunkFrame, status: str,
-                  result: Optional[EpochResult], attempts: int,
-                  error: Optional[str], decode_s: float
+    def _complete(self, frame: ChunkFrame, verdict: Verdict
                   ) -> ChunkResult:
-        """Parent-side terminal accounting shared by both executors:
-        counters, latency/decode histograms, and the verdict record."""
+        """Terminal accounting shared by both executors: the one place
+        a decode becomes metrics, counted in the service process from
+        the verdict and the ``stage_timings`` / ``degraded_streams`` of
+        the result it carries."""
+        shard = self._shard_label
         latency = time.perf_counter() - frame.submitted_at
+        result = verdict.result
         if result is not None:
-            self._m_samples.inc(float(frame.n_samples),
-                                shard=self._shard_label)
-            self._m_decode.observe(decode_s, shard=self._shard_label)
-        self._m_done.inc(1.0, shard=self._shard_label, status=status)
-        self._m_latency.observe(latency, shard=self._shard_label,
-                                status=status)
-        return ChunkResult(frame=frame, status=status, result=result,
-                           attempts=attempts, error=error,
-                           latency_s=latency, decode_s=decode_s,
+            self._m_samples.inc(float(frame.n_samples), shard=shard)
+            self._m_decode.observe(verdict.decode_s, shard=shard)
+            for stage, seconds in result.stage_timings.items():
+                if stage != "total":
+                    self._m_stages.observe(seconds, stage=stage,
+                                           shard=shard)
+            for fault in result.degraded_streams:
+                self._m_faults.inc(
+                    1.0, stage=fault.stage,
+                    expected=str(bool(fault.expected)).lower(),
+                    shard=shard)
+        if verdict.retries:
+            self._m_retries.inc(float(verdict.retries), shard=shard)
+        if verdict.evicted:
+            self._m_evictions.inc(float(verdict.evicted), shard=shard)
+        if verdict.respawned:
+            self._m_respawns.inc(1.0, shard=shard,
+                                 kind="stream_session")
+        if verdict.live_sessions is not None:
+            self._m_sessions.set(float(verdict.live_sessions),
+                                 shard=shard)
+        self._m_done.inc(1.0, shard=shard, status=verdict.status)
+        self._m_latency.observe(latency, shard=shard,
+                                status=verdict.status)
+        return ChunkResult(frame=frame, status=verdict.status,
+                           result=result, attempts=verdict.attempts,
+                           error=verdict.error, latency_s=latency,
+                           decode_s=verdict.decode_s,
                            shard=self.shard_id)
-
-    # -- warm-session management -------------------------------------------
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Aggregated warm-cache counters across this shard's
-        sessions (hit counters strictly positive = warm state pays)."""
-        return self.pool.cache_stats()

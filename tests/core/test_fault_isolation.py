@@ -1,5 +1,6 @@
 """Per-stream fault isolation and session-cache quarantine tests."""
 
+import sys
 import time
 
 import numpy as np
@@ -98,6 +99,62 @@ class TestThreeWayCollisionFallback:
         assert matches[3].matched
         assert matches[3].bit_errors / max(matches[3].bits_sent, 1) \
             < 0.05
+
+
+class TestResidualTiming:
+    """Per-stream helpers count toward the bucket of the work they
+    feed, not toward ``core.pipeline.residual_ms``: slowing one call
+    site by a sleep grows that bucket by the sleep and leaves the
+    decoded bits alone."""
+
+    @pytest.fixture(scope="class")
+    def captures(self, fast_profile):
+        return {
+            # Collisions, multilevel checks and a collinear split.
+            "four_tags": build_network(4, fast_profile,
+                                       seed=5).run_epoch(0.01),
+            # Too noisy for the edge-based fold: the analog fallback
+            # decodes it.
+            "fallback": build_network(1, fast_profile, noise_std=0.03,
+                                      seed=11).run_epoch(0.01),
+        }
+
+    @pytest.mark.parametrize("module, name, caller, bucket, capture", [
+        ("collision", "hold_cluster_noise", None, "detect", "four_tags"),
+        ("separation", "project_single_scaled", None, "separate",
+         "four_tags"),
+        ("folding", "project_single", None, "separate", "fallback"),
+        ("context", "track_rng", "run", "detect", "four_tags"),
+        ("context", "track_rng", "decode_collinear", "separate",
+         "four_tags"),
+    ])
+    def test_call_timed_into_its_bucket(self, captures, fast_profile,
+                                        monkeypatch, module, name, caller,
+                                        bucket, capture):
+        from repro.core import stages
+        from repro.core.stages.context import DecodeContext
+        owner = (DecodeContext if module == "context"
+                 else getattr(stages, module))
+        original = getattr(owner, name)
+        sleep_s, calls = 0.05, []
+
+        def slowed(*args, **kwargs):
+            # ``caller`` picks one of several call sites of a method.
+            if caller is None or sys._getframe(1).f_code.co_name == caller:
+                calls.append(1)
+                time.sleep(sleep_s)
+            return original(*args, **kwargs)
+
+        trace = captures[capture].trace
+        base = build_decoder(fast_profile).decode_epoch(trace)
+        monkeypatch.setattr(owner, name, slowed)
+        slowed_result = build_decoder(fast_profile).decode_epoch(trace)
+        assert calls
+        grown = (slowed_result.stage_timings[bucket]
+                 - base.stage_timings[bucket])
+        assert grown >= 0.8 * sleep_s * len(calls)
+        assert [s.bits.tolist() for s in slowed_result.streams] == \
+            [s.bits.tolist() for s in base.streams]
 
 
 class TestStreamFaultIsolation:

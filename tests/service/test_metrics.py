@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import (MetricsRegistry, RegistrySnapshotter,
-                           StageLatencyObserver, diff_snapshot)
+from repro.service import MetricsRegistry
 from repro.service.metrics import Histogram
 
 
@@ -82,88 +81,3 @@ class TestHistogram:
         import math
         assert math.isnan(
             Histogram("h", "h", buckets=[1.0]).quantile(0.5))
-
-
-class TestStageLatencyObserver:
-    def test_stage_timings_and_faults_export(self, registry):
-        class _Stage:
-            name = "edges"
-
-        observer = StageLatencyObserver(registry, shard=3,
-                                        buckets=[0.1, 1.0])
-        stage = _Stage()
-        observer.on_stage_start(stage, None)
-        observer.on_stage_end(stage, None, elapsed_s=0.05)
-
-        class _Fault:
-            stage = "kmeans"
-            expected = True
-
-        observer.on_stream_fault(_Fault(), None)
-        page = registry.render()
-        assert 'stage="edges"' in page
-        assert 'shard="3"' in page
-        assert "lf_stream_faults_total" in page
-        assert 'expected="true"' in page
-
-
-class TestSnapshotDelta:
-    """The cross-process aggregation path: child registries ship
-    snapshot deltas that merge into the parent's exposition."""
-
-    def test_counter_delta_roundtrip(self, registry):
-        c = registry.counter("lf_x_total", "x")
-        c.inc(3.0, shard="0")
-        snap = RegistrySnapshotter(registry)
-        assert snap.delta() == {}        # nothing changed since init
-        c.inc(2.0, shard="0")
-        c.inc(1.0, shard="1")
-        delta = snap.delta()
-        parent = MetricsRegistry()
-        parent.counter("lf_x_total", "x").inc(10.0, shard="0")
-        parent.apply_delta(delta)
-        # Only the increments since the snapshot merged, not the
-        # child's absolute values.
-        assert parent.counter("lf_x_total").value(shard="0") == 12.0
-        assert parent.counter("lf_x_total").value(shard="1") == 1.0
-        assert snap.delta() == {}        # drained
-
-    def test_gauge_delta_adopts_current_value(self, registry):
-        g = registry.gauge("lf_live", "live")
-        snap = RegistrySnapshotter(registry)
-        g.set(4.0, shard="2")
-        parent = MetricsRegistry()
-        parent.gauge("lf_live", "live").set(99.0, shard="2")
-        parent.apply_delta(snap.delta())
-        # Gauges are set, not summed: the child's truth wins for the
-        # child's own (shard-labelled) series.
-        assert parent.gauge("lf_live").value(shard="2") == 4.0
-
-    def test_histogram_delta_preserves_buckets(self, registry):
-        h = registry.histogram("lf_lat_seconds", "lat",
-                               buckets=[0.1, 1.0])
-        h.observe(0.05, shard="0")
-        snap = RegistrySnapshotter(registry)
-        h.observe(0.5, shard="0")
-        delta = snap.delta()
-        parent = MetricsRegistry()
-        parent.apply_delta(delta)
-        page = parent.render()
-        # The family arrives with its bucket bounds and only the
-        # post-snapshot observation.
-        assert 'le="0.1"} 0' in page
-        assert 'le="1"} 1' in page or 'le="1.0"} 1' in page
-
-    def test_apply_delta_creates_missing_families(self):
-        child = MetricsRegistry()
-        child.counter("lf_new_total", "n").inc(2.0, kind="a")
-        parent = MetricsRegistry()
-        parent.apply_delta(child.snapshot())
-        assert parent.counter("lf_new_total").value(kind="a") == 2.0
-
-    def test_diff_drops_unchanged_families(self, registry):
-        registry.counter("lf_idle_total", "i").inc(1.0)
-        registry.gauge("lf_g", "g").set(0.0, shard="0")
-        snap = registry.snapshot()
-        delta = diff_snapshot(snap, snap)
-        assert "lf_idle_total" not in delta

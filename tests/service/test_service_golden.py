@@ -154,3 +154,37 @@ def test_streams_route_to_distinct_warm_sessions(capture,
                                       trace.duration_s)
         assert digest_result(merged) == digest_result(offline), \
             f"reader {reader} diverged from its offline replay"
+
+
+def _page_values(page):
+    """Each family's type, and the value of every counter and gauge
+    series and every histogram ``_count`` series of a metrics page."""
+    kinds, values = {}, {}
+    for line in page.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split()
+            kinds[name] = kind
+        elif line and not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            name = series.split("{", 1)[0]
+            if kinds.get(name) in ("counter", "gauge") \
+                    or name.endswith("_count"):
+                values[series] = float(value)
+    return kinds, values
+
+
+def test_executors_export_equal_metrics(capture, decoder_config):
+    """Both executors count the same decodes into the same series:
+    equal counters and gauges, equal observation counts per
+    histogram label set (the observed seconds differ run to run)."""
+    _, cap = capture
+    pages = [_stream_through_service(cap.trace, decoder_config,
+                                     executor=executor)[3]
+             for executor in ("thread", "process")]
+    thread_kinds, thread_values = _page_values(pages[0])
+    process_kinds, process_values = _page_values(pages[1])
+    assert thread_kinds == process_kinds
+    assert len(thread_kinds) == 14
+    assert thread_values == process_values
+    assert any(series.startswith("lf_stage_latency_seconds_count")
+               for series in thread_values)

@@ -55,12 +55,14 @@ FORBIDDEN_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.core.stages.", "repro.core.engine"),
 )
 
-#: (lower, upper) package pairs: nothing under ``lower`` may import
-#: anything under ``upper`` at module scope.  The streaming service is
-#: a client of the decoder core's worker primitive and ring, never the
-#: reverse.
+#: (importer, imported) package pairs: nothing under the first may
+#: import anything under the second at module scope.  The streaming
+#: service is a client of the decoder core's worker primitive and
+#: ring, never the reverse, and it reads decode telemetry only through
+#: the ``EpochResult`` a decode returns, never from the stage graph.
 FORBIDDEN_LAYERS: Tuple[Tuple[str, str], ...] = (
     ("repro.core", "repro.service"),
+    ("repro.service", "repro.core.stages"),
 )
 
 #: The kernels are the bottom of the compute stack: plain arrays in,
