@@ -18,16 +18,6 @@ decisions, which reads as rate 1.0) means the adaptive ladder silently
 stopped paying for itself and fails the run even when raw throughput
 still clears the floor.
 
-When a service soak export (``BENCH_service.json``, written by
-``benchmarks/run_soak.py``) is present the gate also checks the
-streaming service: sustained throughput against the committed
-``benchmarks/BENCH_service.json`` baseline (same tolerance), the
-overload phase's shed fraction against a ceiling, and the exact
-terminal accounting both phases must keep (every submitted chunk
-decoded, failed, or shed — nothing lost).  With no committed service
-baseline the throughput comparison is informational only, so the gate
-can land before the first baseline does.
-
 The 20% default is deliberately loose: shared CI runners jitter by
 ±10% run to run, and the gate exists to catch real regressions (2x
 slowdowns from an accidental O(n^2) path), not 5% noise.  Ratcheting
@@ -61,19 +51,9 @@ DEFAULT_TOLERANCE = 0.20
 #: on the fast path; a dead ladder reports rate 1.0 (no decisions at
 #: all) and fails too.
 DEFAULT_ESCALATION_CEILING = 0.5
-#: Committed soak baseline for the streaming service.
-SERVICE_BASELINE = BENCH_DIR / "BENCH_service.json"
-#: Default location run_soak.py drops its summary (uncommitted; what
-#: CI uploads).
-SERVICE_CANDIDATE = BENCH_DIR / "results" / "BENCH_service.json"
 #: Default location the survival sweep drops its matrix
 #: (``python -m repro.robustness.survival --out ...``).
 SURVIVAL_CANDIDATE = BENCH_DIR / "results" / "survival_matrix.json"
-#: Highest acceptable shed fraction in the overload phase.  The phase
-#: offers 2x the measured capacity, so a healthy service sheds about
-#: half its chunks; far above that means real throughput collapsed
-#: under load (the shedding itself got expensive).
-DEFAULT_SHED_CEILING = 0.75
 #: Committed quick-grid signoff baseline (run_signoff.py --quick).
 SIGNOFF_BASELINE = BENCH_DIR / "SIGNOFF_quick.json"
 #: Default location run_signoff.py drops its export.
@@ -179,167 +159,6 @@ def check_escalation_rate(stats: dict | None, ceiling: float) -> int:
     if rate > ceiling:
         print("FAIL: fidelity escalation rate above the sanity ceiling"
               " — the adaptive fast paths are not paying for themselves")
-        return 1
-    return 0
-
-
-def check_service(candidate_path: Path, baseline_path: Path,
-                  tolerance: float, shed_ceiling: float) -> int:
-    """Gate the streaming-service soak export, if one is present.
-
-    0 when no candidate exists (nothing to gate), when the candidate
-    keeps its invariants and clears the baseline floor, or when no
-    baseline is committed yet (informational); 1 on any failure.
-    """
-    if not candidate_path.exists():
-        print("service: no soak export found (skipped) — run "
-              "benchmarks/run_soak.py to produce one")
-        return 0
-    try:
-        candidate = json.loads(candidate_path.read_text())
-    except ValueError as exc:
-        print(f"service: FAIL: unreadable soak export "
-              f"{candidate_path}: {exc}")
-        return 1
-
-    failed = False
-    for phase in ("throughput", "overload"):
-        report = candidate.get(phase)
-        if report is None:
-            continue
-        if not report.get("accounting_exact", False):
-            print(f"service: FAIL: {phase} phase lost records "
-                  f"(submitted != decoded + failed + shed)")
-            failed = True
-    # Chaos phases (present only for --chaos runs): the service must
-    # keep exact accounting, bound its queues, and let nothing but
-    # deliberate worker kills escape a thread, under every cocktail.
-    queue_bound = int(candidate.get("config", {})
-                      .get("queue_depth", 0)) or None
-    for name, report in (candidate.get("chaos") or {}).items():
-        if not report.get("accounting_exact", False):
-            print(f"service: FAIL: chaos[{name}] lost records "
-                  f"(submitted != decoded + failed + shed)")
-            failed = True
-        escapes = int(report.get("unexpected_thread_exceptions", 0))
-        if escapes:
-            print(f"service: FAIL: chaos[{name}] let {escapes} "
-                  f"unexpected exception(s) escape a worker thread")
-            failed = True
-        depth = int(report.get("max_queue_depth", 0))
-        if queue_bound is not None and depth > queue_bound:
-            print(f"service: FAIL: chaos[{name}] queue depth {depth} "
-                  f"exceeded the configured bound {queue_bound}")
-            failed = True
-        injected = {k: v for k, v in
-                    (report.get("injected") or {}).items() if v}
-        print(f"service: chaos[{name}] survived "
-              f"(injected {injected or 'nothing'}, "
-              f"max queue depth {depth})")
-    throughput = candidate.get("throughput", {})
-    if throughput.get("shed", 0):
-        # The throughput phase runs closed-loop: shedding there means
-        # the backpressure path is broken, not that load was high.
-        print("service: FAIL: closed-loop throughput phase shed "
-              f"{throughput['shed']} chunks")
-        failed = True
-    overload = candidate.get("overload")
-    if overload is not None:
-        shed_fraction = float(overload.get("shed_fraction", 0.0))
-        print(f"service: overload shed fraction {shed_fraction:.1%} "
-              f"(ceiling {shed_ceiling:.0%})")
-        if shed_fraction > shed_ceiling:
-            print("service: FAIL: overload shed fraction above the "
-                  "ceiling — throughput collapsed under load")
-            failed = True
-
-    # Scaling-sweep cells (present for --scaling-sweep runs): every
-    # cell ran closed-loop, so exact accounting and zero shed are
-    # invariants regardless of which executor produced the cell.
-    for executor, curve in (candidate.get("scaling") or {}).items():
-        for shards, cell in sorted(curve.items(),
-                                   key=lambda kv: int(kv[0])):
-            if not cell.get("accounting_exact", False):
-                print(f"service: FAIL: scaling[{executor} x{shards}] "
-                      f"lost records")
-                failed = True
-            if cell.get("shed", 0):
-                print(f"service: FAIL: scaling[{executor} x{shards}] "
-                      f"shed {cell['shed']} chunks in closed loop")
-                failed = True
-
-    sustained = float(throughput.get(
-        "sustained_samples_per_second", 0.0))
-    if not sustained:
-        print("service: FAIL: no sustained throughput recorded")
-        return 1
-    if not baseline_path.exists():
-        print(f"service: sustained {sustained:,.0f} samples/s "
-              f"(no committed baseline at {baseline_path.name} — "
-              f"informational, not gated)")
-        return 1 if failed else 0
-    baseline = json.loads(baseline_path.read_text())
-    baseline_rate = float(baseline.get("throughput", {})
-                          .get("sustained_samples_per_second", 0.0))
-    if not baseline_rate:
-        print("service: baseline has no sustained throughput — "
-              "regenerate it with benchmarks/run_soak.py")
-        return 1 if failed else 0
-    floor = baseline_rate * (1.0 - tolerance)
-    change = sustained / baseline_rate - 1.0
-    print(f"service: baseline : {baseline_rate:,.0f} samples/s")
-    print(f"service: candidate: {sustained:,.0f} samples/s "
-          f"({change:+.1%})")
-    print(f"service: floor    : {floor:,.0f} samples/s "
-          f"(-{tolerance:.0%} tolerance)")
-    if sustained < floor:
-        print("service: FAIL: sustained throughput regressed past "
-              "the tolerance")
-        failed = True
-    elif sustained > baseline_rate:
-        print("service: faster than baseline — consider refreshing "
-              "benchmarks/BENCH_service.json")
-    if check_process_scaling(candidate, baseline, tolerance):
-        failed = True
-    return 1 if failed else 0
-
-
-def check_process_scaling(candidate: dict, baseline: dict,
-                          tolerance: float) -> int:
-    """Gate the process-executor scaling curve against the baseline's.
-
-    Compares the best sustained rate in the candidate's
-    ``scaling["process"]`` curve to the same figure in the committed
-    baseline.  A committed baseline that *predates* the scaling field
-    (pre-process-executor soaks) only warns — the gate must be able to
-    land before the first refreshed baseline does.  0 = pass/warn,
-    1 = regression.
-    """
-    curve = (candidate.get("scaling") or {}).get("process")
-    if not curve:
-        return 0                 # no sweep in this run: nothing to gate
-    best = max(float(c.get("sustained_samples_per_second", 0.0))
-               for c in curve.values())
-    base_curve = (baseline.get("scaling") or {}).get("process")
-    if not base_curve:
-        print(f"service: WARNING: committed baseline predates the "
-              f"process-executor scaling field — candidate best "
-              f"{best:,.0f} samples/s recorded, not gated; refresh "
-              f"benchmarks/BENCH_service.json with "
-              f"run_soak.py --scaling-sweep")
-        return 0
-    base_best = max(float(c.get("sustained_samples_per_second", 0.0))
-                    for c in base_curve.values())
-    if not base_best:
-        return 0
-    floor = base_best * (1.0 - tolerance)
-    change = best / base_best - 1.0
-    print(f"service: process-executor best: {best:,.0f} samples/s "
-          f"({change:+.1%} vs baseline {base_best:,.0f}, floor "
-          f"{floor:,.0f})")
-    if best < floor:
-        print("service: FAIL: process-executor throughput regressed "
-              "past the tolerance")
         return 1
     return 0
 
@@ -528,17 +347,6 @@ def main(argv: list | None = None) -> int:
                         default=DEFAULT_ESCALATION_CEILING,
                         help="maximum fidelity escalation rate on the "
                              "clean benchmark (default 0.5)")
-    parser.add_argument("--service-candidate", type=Path,
-                        default=SERVICE_CANDIDATE,
-                        help="soak export from run_soak.py (gated "
-                             "only when the file exists)")
-    parser.add_argument("--service-baseline", type=Path,
-                        default=SERVICE_BASELINE,
-                        help="committed BENCH_service.json baseline")
-    parser.add_argument("--shed-ceiling", type=float,
-                        default=DEFAULT_SHED_CEILING,
-                        help="maximum overload-phase shed fraction "
-                             "(default 0.75)")
     parser.add_argument("--survival", type=Path,
                         default=SURVIVAL_CANDIDATE,
                         help="survival matrix JSON from "
@@ -575,9 +383,6 @@ def main(argv: list | None = None) -> int:
         print("FAIL: throughput regressed past the tolerance")
     any_faster = candidate > baseline
     status = check_escalation_rate(fidelity, args.escalation_ceiling)
-    service_status = check_service(
-        args.service_candidate, args.service_baseline,
-        args.tolerance, args.shed_ceiling)
     survival_status = check_survival(args.survival)
     signoff_status = check_signoff(
         args.signoff_candidate, args.signoff_baseline,
@@ -586,8 +391,6 @@ def main(argv: list | None = None) -> int:
         return 1
     if status:
         return status
-    if service_status:
-        return service_status
     if survival_status:
         return survival_status
     if signoff_status:

@@ -32,9 +32,9 @@ Draw order (the compatibility contract every consumer relies on):
    generator;
 3. one ``integers(0, 2**63)`` draw for the simulator's noise generator
    — or, with ``spawn_sim_rng=False``, the scenario generator itself
-   is handed to the simulator (the soak-pool and benchmark-fixture
-   convention, whose captures predate this module and are pinned by
-   committed baselines).
+   is handed to the simulator (the benchmark-fixture convention, whose
+   captures predate this module and are pinned by committed
+   baselines).
 
 Impairments apply through the truth-preserving
 :func:`repro.robustness.impairments.impair_capture`, seeded by the
@@ -105,8 +105,8 @@ class ScenarioSpec:
     #: Seeds coefficients, tags, noise and impairments when no
     #: explicit generator is supplied.
     seed: int = 42
-    #: First tag id (churned soak generations offset this so a fresh
-    #: population reads as new streams, not drift of old ones).
+    #: First tag id (churned traffic generations offset this so a
+    #: fresh population reads as new streams, not drift of old ones).
     tag_id_base: int = 0
     #: ``"lf"`` (comparator-jitter offsets) or ``"ask"`` (deterministic
     #: start offset — the Figure 14 baseline tag).
@@ -127,8 +127,8 @@ class ScenarioSpec:
     min_separation: Optional[float] = None
     environment_offset: complex = 0.5 + 0.3j
     #: ``True`` (default): the simulator gets its own child generator.
-    #: ``False``: it shares the scenario generator — the soak-pool and
-    #: benchmark-fixture convention, kept for their pinned baselines.
+    #: ``False``: it shares the scenario generator — the
+    #: benchmark-fixture convention, kept for its pinned baselines.
     spawn_sim_rng: bool = True
     #: Impairment randomness seed (``None``: reuse ``seed``).
     impairment_seed: Optional[int] = None

@@ -11,9 +11,8 @@ and exports live Prometheus-style metrics, counted in the service
 process from each chunk's verdict under either executor.
 
 See ``docs/ARCHITECTURE.md`` (service layer) and ``docs/API.md`` for
-the full reference; ``python -m repro.service`` runs a quickstart
-against the network simulator and ``benchmarks/run_soak.py`` the
-multi-reader soak benchmark.
+the full reference; ``python -m repro.service`` replays simulated
+multi-reader traffic through the service in closed loop.
 """
 
 from .chaos import (CHAOS_COCKTAILS, ChaosConfig, ChaosCrashError,

@@ -22,10 +22,9 @@ deterministically draws from its fault menu:
   shared-memory ring view* before decoding (real shm corruption, not
   a copy): the decode path's guard stage must repair or reject it.
 
-Clock-skewed chunk arrival is a submit-side fault and lives in the
-soak driver (:func:`repro.service.soak.run_soak` with a
-:class:`ChaosConfig`), which perturbs each chunk's ``start_time_s``
-before submission.
+Clock-skewed chunk arrival is a submit-side fault: whoever submits
+the chunks asks :meth:`ChaosInjector.skew_for` for each chunk's skew
+and adds it to the chunk's ``start_time_s`` before submission.
 
 Chaos reaches both executors through the same seam: under
 ``executor="process"`` the chaos-wrapped decoders are built *inside*
@@ -37,9 +36,10 @@ cells, so faults fired in children are visible to the parent's
 assertions.
 
 Every draw comes from a per-stream generator seeded by
-``(chaos.seed, stream seed)``, so a chaos soak replays exactly.
+``(chaos.seed, stream seed)``, so a chaos run replays exactly.
 :data:`CHAOS_COCKTAILS` names the standard single-fault and
-everything-at-once mixes the chaos-service CI job sweeps.
+everything-at-once mixes; ``tests/service/test_chaos.py`` runs every
+one of them against the real decoder.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class ChaosConfig:
     #: Longest scribbled run, in samples.
     corrupt_max_run: int = 500
     #: Probability a chunk's ``start_time_s`` is skewed at submit
-    #: time (applied by the soak driver, not the injector).
+    #: time (applied by the submitter, not the injector).
     skew_rate: float = 0.0
     max_skew_seconds: float = 0.5
     #: Seeds the per-stream fault draws (composed with each stream's
@@ -120,9 +120,8 @@ class ChaosConfig:
                                 "skew_rate"))
 
 
-#: Named fault mixes the chaos soak and the CI job sweep.  One mix per
-#: injector so a failure names its fault; ``everything`` proves the
-#: ladders compose.
+#: Named fault mixes the chaos tests sweep.  One mix per injector so a
+#: failure names its fault; ``everything`` proves the ladders compose.
 CHAOS_COCKTAILS: Dict[str, ChaosConfig] = {
     "stalls": ChaosConfig(stall_rate=0.2, stall_seconds=0.03),
     "crashes": ChaosConfig(crash_rate=0.25),
@@ -190,8 +189,8 @@ class ChaosInjector:
 
     Use :func:`chaos_service_config` to wire one into a
     :class:`~repro.service.config.ServiceConfig`; the injector's
-    ``injected`` counters say what actually fired (a soak asserting
-    "the service survived X" should also assert X happened).
+    :meth:`counts` say what actually fired (a test asserting "the
+    service survived X" should also assert X happened).
     """
 
     #: The fault menu, fixed up front so the counters can live in
@@ -230,11 +229,6 @@ class ChaosInjector:
             return {name: int(counter.value)
                     for name, counter in self._counters.items()}
 
-    @property
-    def injected(self) -> Dict[str, int]:
-        """Alias of :meth:`counts` kept for the PR 8 soak API."""
-        return self.counts()
-
     def decoder_factory(self, key: Tuple[int, int], seed: int):
         if self._inner_factory is not None:
             inner = self._inner_factory(key, seed)
@@ -249,8 +243,8 @@ class ChaosInjector:
                  seq: int) -> float:
         """Deterministic clock skew for one chunk, in seconds.
 
-        Zero when the draw says this chunk arrives on time.  The soak
-        driver adds the skew to the chunk's ``start_time_s`` before
+        Zero when the draw says this chunk arrives on time.  The
+        submitter adds the skew to the chunk's ``start_time_s`` before
         submission — arrival timestamps wander while the sample
         streams themselves stay in order, the way NTP-adrift readers
         feed a collector.
@@ -282,7 +276,7 @@ def chaos_service_config(base: ServiceConfig, chaos: ChaosConfig
 class capture_thread_exceptions:
     """Record uncaught worker-thread exceptions during a chaos run.
 
-    The "zero uncaught exceptions" soak invariant needs a witness:
+    The "zero uncaught exceptions" chaos invariant needs a witness:
     Python routes exceptions that escape a ``Thread`` run loop to
     ``threading.excepthook`` rather than crashing the process, so a
     broken supervision path would otherwise fail silently.  Within

@@ -26,10 +26,10 @@ completed (by status), shed and retried chunks, decoded samples,
 session evictions and respawns, queue depth, live sessions, chunk
 latency and decode-time histograms, a histogram of each decoded
 chunk's ``stage_timings`` buckets and a counter of the faults in its
-``degraded_streams``.  The ``lf_ring_inline_fallbacks_total`` family
-is registered but nothing increments it; :meth:`DecodeService.snapshot`
-counts inline fallbacks.  Warm-cache hit/miss counters are summed by
-:meth:`DecodeService.cache_stats`, not exported.
+``degraded_streams``, and chunks carried inline because the shard's
+ring was full (also in :meth:`DecodeService.snapshot`).  Warm-cache
+hit/miss counters are summed by :meth:`DecodeService.cache_stats`, not
+exported.
 
 Decode output is **bit-identical to the offline path**: chunks of one
 stream decode in submission order through a
@@ -204,6 +204,7 @@ class DecodeService:
             # ingest never blocks on the transport (the bounded queue,
             # not the ring, is the backpressure surface).
             frame.inline = np.array(trace.samples, dtype=np.complex128)
+            worker.count_inline_fallback()
             with self._stats_lock:
                 self._inline_fallbacks += 1
         with self._stats_lock:

@@ -420,6 +420,10 @@ class ShardWorker:
             self._shed(dropped, reason="queue full (oldest dropped)")
         return shed
 
+    def count_inline_fallback(self) -> None:
+        """Tick the shard's inline-transport counter (ring was full)."""
+        self._m_inline.inc(1.0, shard=self._shard_label)
+
     def queue_depth(self) -> int:
         with self._cond:
             return len(self._queue)

@@ -7,7 +7,9 @@ bounded depth under 2x-style overload, monotone shed counters, exact
 terminal accounting (every submitted chunk reaches exactly one of
 ok/degraded/failed/shed), closed-loop blocking under the ``block``
 policy, inline fallback when the ring is full, and the retry →
-cold-respawn ladder for failing streams.
+cold-respawn ladder for failing streams.  With the gate open and a
+fixed decode time, the same decoder gives the shard a known capacity
+to overload.
 
 No real decoding happens here; the golden end-to-end test
 (``test_service_golden.py``) covers the decode math.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -34,10 +37,12 @@ def _trace(n: int = 64, fs: float = 1e6, t0: float = 0.0) -> IQTrace:
 
 
 class _GatedDecoder:
-    """decode_epoch blocks on ``gate``; raises while ``failing``."""
+    """decode_epoch blocks on ``gate``, then takes ``decode_s``;
+    raises while ``failing``."""
 
     def __init__(self, gate: threading.Event):
         self.gate = gate
+        self.decode_s = 0.0
         self.failing = False
         self.calls = 0
         self.builds = 1
@@ -45,6 +50,7 @@ class _GatedDecoder:
     def decode_epoch(self, trace, sample_offset=0.0):
         self.calls += 1
         self.gate.wait(timeout=30.0)
+        time.sleep(self.decode_s)
         if self.failing:
             raise RuntimeError("injected decode failure")
         return EpochResult(duration_s=trace.duration_s)
@@ -153,6 +159,37 @@ def test_block_policy_applies_producer_backpressure():
     asyncio.run(run())
 
 
+def test_overload_at_twice_capacity_sheds_below_the_ceiling():
+    """One shard decoding a chunk per 20 ms, offered one per 10 ms,
+    sheds what it cannot decode (16 of 40 on a 2-core host).  Shedding
+    more than three in four would mean the overload itself ate the
+    decode capacity."""
+    decode_s, n_chunks = 0.02, 40
+
+    async def run():
+        h = _Harness(overflow=SHED_OLDEST, queue_depth=4)
+        h.decoder.decode_s = decode_s
+        h.gate.set()
+        depths = []
+        async with h.service:
+            start = time.perf_counter()
+            for i in range(n_chunks):
+                delay = start + i * decode_s / 2 - time.perf_counter()
+                if delay > 0:
+                    await asyncio.sleep(delay)
+                await h.service.submit(0, 0, _trace())
+                depths.append(max(h.service.snapshot()
+                                  .queue_depths.values()))
+            await h.service.drain()
+            return depths, h.service.snapshot()
+
+    depths, snap = asyncio.run(run())
+    assert snap.submitted == n_chunks
+    assert snap.decoded + snap.failed + snap.shed == n_chunks
+    assert max(depths) <= 4
+    assert snap.shed_fraction <= 0.75
+
+
 def test_ring_full_falls_back_to_inline_transport():
     async def run():
         # Ring fits exactly one 64-sample chunk; while it is live the
@@ -165,10 +202,16 @@ def test_ring_full_falls_back_to_inline_transport():
             h.gate.set()
             await h.service.drain()
             snap = h.service.snapshot()
+            page = h.service.render_metrics()
         assert snap.inline_fallbacks >= 1
         assert snap.decoded == 3       # inline chunks decode fine
         inline = [r for r in h.results if r.frame.frame_id < 0]
         assert len(inline) == snap.inline_fallbacks
+        # The metrics page counts the same fallbacks.
+        exported = sum(float(line.rsplit(" ", 1)[1])
+                       for line in page.splitlines()
+                       if line.startswith("lf_ring_inline_fallbacks_total{"))
+        assert exported == snap.inline_fallbacks
 
     asyncio.run(run())
 

@@ -6,8 +6,8 @@ corruption, clock skew — and assert the service's supervision ladder
 (retry → cold respawn → shed) keeps the terminal invariants: exact
 accounting (submitted == decoded + failed + shed), bounded queues, and
 zero exceptions escaping a worker thread other than the deliberate
-kills.  A final end-to-end test runs the real soak under the
-``everything`` cocktail.
+kills.  The last test runs every named cocktail against the real
+decoder, under the executor ``REPRO_SERVICE_EXECUTOR`` selects.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.service import (CHAOS_COCKTAILS, ChaosConfig,
-                           ChaosCrashError, ChaosWorkerKill,
+                           ChaosCrashError, ChaosInjector, ChaosWorkerKill,
                            DecodeService, SHED_OLDEST, ServiceConfig,
                            capture_thread_exceptions,
                            chaos_service_config)
-from repro.service.soak import SoakConfig, run_soak
+from repro.service.__main__ import decoder_config, render_traffic
 from repro.types import EpochResult, IQTrace
 
 
@@ -81,9 +81,12 @@ async def _pump(h: _Harness, n_chunks: int) -> None:
                                    trace=_trace(t0=i * 1e-4),
                                    sample_offset=0.0)
             # Let the single worker keep up so nothing sheds and
-            # every chunk actually reaches the chaos decoder.
-            while h.service.snapshot().queue_depths[0] >= 2:
-                await asyncio.sleep(0.001)
+            # every chunk actually reaches the chaos decoder.  Drain
+            # rather than poll the depth: a kill can leave frames
+            # queued behind a dead worker thread, and only submit and
+            # drain respawn it.
+            if h.service.snapshot().queue_depths[0] >= 2:
+                await h.service.drain()
         await h.service.drain()
 
 
@@ -175,16 +178,52 @@ def test_skew_draws_are_deterministic_and_bounded():
     assert injector.counts()["skew"] == len(hits)
 
 
-def test_everything_cocktail_soak_keeps_all_invariants():
-    cfg = SoakConfig(n_readers=1, tags_per_reader=2, duration_s=0.5,
-                     chaos_duration_s=1.5, pool_epochs=1,
-                     overload=False, queue_depth=4)
-    report = run_soak(
-        cfg, chaos_cocktails={
-            "everything": CHAOS_COCKTAILS["everything"]})
-    phase = report.chaos["everything"]
-    assert phase.accounting_exact
-    assert phase.unexpected_thread_exceptions == 0
-    assert phase.max_queue_depth <= cfg.queue_depth
-    assert any(phase.injected.values()), phase.injected
-    assert phase.decoded > 0
+#: Chunks offered per cocktail: each of the first ``PACED`` is drained
+#: before the next is offered, so every one reaches the decoder; the
+#: last ``BURST`` arrive at once against the queue bound.
+PACED, BURST = 32, 16
+
+
+@pytest.fixture(scope="module")
+def chunks():
+    """One reader with two tags: its rendered chunks in capture order."""
+    traffic = render_traffic(readers=1, tags=2, seed=0)
+    return [pair for epoch in traffic[0] for pair in epoch]
+
+
+@pytest.mark.parametrize("name", sorted(CHAOS_COCKTAILS))
+def test_cocktail_keeps_all_invariants_on_the_real_decoder(name, chunks):
+    cocktail = CHAOS_COCKTAILS[name]
+    config, injector = chaos_service_config(
+        ServiceConfig(n_shards=1, queue_depth=4, overflow=SHED_OLDEST,
+                      decoder=decoder_config()), cocktail)
+    service = DecodeService(config)
+    depths = []
+
+    async def run():
+        async with service:
+            for seq in range(PACED + BURST):
+                chunk, offset = chunks[seq % len(chunks)]
+                skew = injector.skew_for(0, 0, seq)
+                if skew:
+                    chunk = IQTrace(samples=chunk.samples,
+                                    sample_rate_hz=chunk.sample_rate_hz,
+                                    start_time_s=chunk.start_time_s + skew)
+                await service.submit(0, 0, chunk, offset)
+                depths.append(service.snapshot().queue_depths[0])
+                if seq < PACED:
+                    await service.drain()
+            await service.drain()
+
+    with capture_thread_exceptions() as escapes:
+        asyncio.run(run())
+    stats = service.snapshot()
+    assert stats.submitted == PACED + BURST
+    assert stats.submitted == stats.decoded + stats.failed + stats.shed
+    assert max(depths) <= config.queue_depth
+    assert escapes.unexpected == []
+    assert stats.decoded > 0
+    counts = injector.counts()
+    own = [fault for fault in ChaosInjector.FAULTS
+           if getattr(cocktail, f"{fault}_rate")]
+    assert all(counts[fault] > 0 for fault in own), counts

@@ -20,6 +20,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -139,15 +140,29 @@ def test_cli_sigterm_drains_and_leaves_no_shm(tmp_path):
         cwd=str(Path(__file__).resolve().parents[2]),
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
+    lines: list = []
+    replaying = threading.Event()
+
+    def read():
+        for line in proc.stdout:
+            lines.append(line)
+            if line.startswith("replaying"):
+                replaying.set()
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
     try:
-        # Let it get through traffic rendering and into the replay.
-        time.sleep(8.0)
+        # Signal once traffic is rendered and the replay has begun.
+        replaying.wait(timeout=120.0)
         proc.send_signal(signal.SIGTERM)
-        out, _ = proc.communicate(timeout=120.0)
+        proc.wait(timeout=120.0)
     finally:
         if proc.poll() is None:
             proc.kill()
-            proc.communicate()
+            proc.wait()
+        reader.join(timeout=10.0)
+        proc.stdout.close()
+    out = "".join(lines)
     assert proc.returncode == 0, out
     assert "shutdown requested" in out
     leaked = {p.name for p in _SHM_DIR.iterdir()} - before

@@ -37,12 +37,11 @@ def _baseline_rate() -> float:
 def _gate(tmp_path: Path, benchmarks: list) -> int:
     candidate = tmp_path / "candidate.json"
     candidate.write_text(json.dumps({"benchmarks": benchmarks}))
-    # Point the service, survival and signoff sections at files that
-    # do not exist, so only the decoder headline is gated.
+    # Point the survival and signoff sections at files that do not
+    # exist, so only the decoder headline is gated.
     missing = tmp_path / "missing.json"
     return check_regression.main([
         "--baseline", str(BASELINE), "--candidate", str(candidate),
-        "--service-candidate", str(missing),
         "--survival", str(missing),
         "--signoff-candidate", str(missing)])
 
