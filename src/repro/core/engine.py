@@ -2,7 +2,7 @@
 
 Long experiments (waterfall sweeps, multi-epoch captures) decode
 hundreds of independent epochs with the same :class:`LFDecoderConfig`.
-:class:`BatchDecoder` fans those epochs out over forked children
+:class:`BatchDecoder` fans those epochs out over child processes
 (:class:`~repro.core.child.SupervisedChild`, one task in flight per
 child) while keeping four guarantees:
 
@@ -43,24 +43,35 @@ and per-worker-count determinism.  An explicit ``seed`` reproduces a
 legacy ``np.random.default_rng(seed)`` stream bit for bit, which is
 how refit experiments keep row parity with their serial ancestors.
 
-Children are forked per batch call, lazily, never more than
-``max_workers`` or the number of tasks dispatched; they inherit the
-decoder config and trial function at fork.  Trace samples travel
-through one :class:`~repro.core.ring.ChunkRing` per call, sized to
-two frames of the first trace per worker: the parent writes each
-task's samples into the ring once and the child decodes a zero-copy
-view.  A trace that does not fit (a longer trace, a ring held up
-behind a slow task, a host without POSIX shared memory) travels
-inline, pickled with its task; :meth:`IQTrace.__getstate__` drops the
-derived-array caches so the payload is just the raw samples.  Every
-exit path — completion, crash, hang, abandoned iteration — stops and
-reaps the children and unlinks the ring.
+Children start lazily, at the first dispatch that needs one, never
+more than ``max_workers`` or the number of tasks in flight.  Each is a
+fresh interpreter (:class:`~repro.core.child.SupervisedChild`): it
+imports the decoder but holds none of the caller's heap.  Booting one
+costs a few hundred milliseconds, so an engine keeps its children, and
+its :class:`~repro.core.ring.ChunkRing`, across calls, until
+:meth:`BatchDecoder.close`, the end of a ``with`` block, or garbage
+collection.  The config is pickled into each child when it starts; the
+trial function travels with every task, by reference, so it must be an
+importable top-level callable (and a script that runs a multi-worker
+engine needs an ``if __name__ == "__main__":`` guard).
+
+Trace samples travel through the ring, sized to two frames of the
+first trace per worker: the parent writes each task's samples into the
+ring once and the child decodes a zero-copy view.  A trace that does
+not fit (a longer trace, a ring held up behind a slow task, a host
+without POSIX shared memory) travels inline, pickled with its task;
+:meth:`IQTrace.__getstate__` drops the derived-array caches so the
+payload is just the raw samples.  A child lost to a crash or a hang is
+reaped and replaced, never reused.  A call that ends early (abandoned
+iteration, an exception) kills the children still busy with its tasks
+and retires their frames; idle children wait for the next call.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import (Any, Callable, Deque, Dict, Iterable, Iterator,
@@ -77,53 +88,48 @@ from .ring import ChunkRing, RingView
 from .stages.stats import StatsAccumulator
 
 
-def _decode_task(index: int, trace: IQTrace,
-                 seed_seq: np.random.SeedSequence,
+def _decode_task(trace: IQTrace, index: int, rng: np.random.Generator,
                  config: LFDecoderConfig) -> EpochResult:
-    """Decode one epoch with a task-local decoder and RNG.
+    """The stock trial: decode one epoch with a task-local decoder.
 
     A fresh :class:`LFDecoder` per task is deliberate: decoder state
     (its RNG position) must depend only on this task's seed sequence,
     never on which other tasks the worker processed first.
     """
-    decoder = LFDecoder(config, rng=np.random.default_rng(seed_seq))
-    result = decoder.decode_epoch(trace)
+    result = LFDecoder(config, rng=rng).decode_epoch(trace)
     result.epoch_index = index
     return result
 
 
-def _run_task(trial_fn: Optional[Callable], index: int,
-              trace: Optional[IQTrace], payload: Any, seed,
-              config: LFDecoderConfig) -> Any:
-    """Run one task: the stock epoch decode, or one generic trial.
+def _run_task(trial_fn: Callable, trace: Optional[IQTrace],
+              payload: Any, seed, config: LFDecoderConfig) -> Any:
+    """Run one trial.
 
-    A trial's ``seed`` is either an explicit integer (legacy serial
-    loops seeded ``default_rng(int)``; passing the raw int through
-    reproduces that stream exactly) or an engine-spawned
-    :class:`SeedSequence`.  The trial function must return *derived*
-    data only — under the ring transport the trace is a view of a
-    frame the parent reuses once the result arrives.
+    ``seed`` is either an explicit integer (legacy serial loops seeded
+    ``default_rng(int)``; passing the raw int through reproduces that
+    stream exactly) or an engine-spawned :class:`SeedSequence`.  The
+    trial function must return *derived* data only — under the ring
+    transport the trace is a view of a frame the parent reuses once the
+    result arrives.
     """
-    if trial_fn is None:
-        return _decode_task(index, trace, seed, config=config)
     return trial_fn(trace, payload, np.random.default_rng(seed), config)
 
 
-def _batch_child(config: LFDecoderConfig,
-                 trial_fn: Optional[Callable]) -> Callable:
+def _batch_child(config: LFDecoderConfig) -> Callable:
     """Build a batch child's handler: one task per message, replying
     ``(True, result)`` or ``(False, error)`` for an in-task exception.
 
-    A task's trace arrives inline or as ``(ring name, start, n,
-    sample rate, start time, allow_nonfinite)``; the child attaches
-    the ring on first sight.  Every array an :class:`EpochResult`
-    carries is derived, never a slice of the raw trace, so the view
-    may go once the reply is sent.
+    A message is ``(trial_fn, seed, payload, trace)``.  The trace
+    arrives inline or as ``(ring name, start, n, sample rate, start
+    time, allow_nonfinite)``; the child attaches the ring on first
+    sight.  Every array an :class:`EpochResult` carries is derived,
+    never a slice of the raw trace, so the view may go once the reply
+    is sent.
     """
     views: Dict[str, RingView] = {}
 
     def handle(message):
-        index, seed, payload, trace = message
+        trial_fn, seed, payload, trace = message
         if isinstance(trace, tuple):
             name, start, n, rate, t0, nonfinite = trace
             if name not in views:
@@ -132,8 +138,7 @@ def _batch_child(config: LFDecoderConfig,
                             sample_rate_hz=rate, start_time_s=t0,
                             allow_nonfinite=nonfinite)
         try:
-            return True, _run_task(trial_fn, index, trace, payload, seed,
-                                   config)
+            return True, _run_task(trial_fn, trace, payload, seed, config)
         except Exception as exc:  # noqa: BLE001 — supervision
             return False, f"{type(exc).__name__}: {exc}"
 
@@ -189,6 +194,48 @@ class EpochOutcome:
         return self.status == "ok"
 
 
+class _Children:
+    """An engine's idle children and its ring, kept between calls.
+
+    Holds no reference to the engine, so a finalizer can release it
+    once the engine is gone.  A call binds one for its whole run.  If
+    the engine closes it mid-call, the call finishes on the children
+    it has, with traces inline (a closed one makes no ring), and
+    closes it again as it ends.
+    """
+
+    def __init__(self) -> None:
+        self.idle: List[SupervisedChild] = []
+        self.ring: Optional[ChunkRing] = None
+        self.closed = False
+
+    def take(self) -> Optional[SupervisedChild]:
+        """A live idle child, or ``None``; reaps any that died idle."""
+        while self.idle:
+            child = self.idle.pop()
+            if child.alive:
+                return child
+            child.stop(graceful=False)
+        return None
+
+    def retire(self, task: "_Task") -> None:
+        """Free the ring frame ``task`` held while a child had it.  A
+        frame is always from ``self.ring``: the ring is made once and
+        only ever dropped, on close."""
+        if task.frame >= 0 and self.ring is not None:
+            self.ring.retire(task.frame)
+        task.frame = -1
+
+    def close(self) -> None:
+        self.closed = True
+        idle, self.idle = self.idle, []
+        for child in idle:
+            child.stop()
+        ring, self.ring = self.ring, None
+        if ring is not None:
+            ring.close()
+
+
 @dataclass
 class _Task:
     """One input plus everything needed to re-run it.
@@ -201,7 +248,7 @@ class _Task:
     trace: Optional[IQTrace]
     #: Explicit int seed (trial parity) or engine-spawned SeedSequence.
     seed_seq: Any
-    #: Opaque trial context (``None`` for stock epoch decodes).
+    #: Opaque trial context (the input index for stock epoch decodes).
     payload: Any = None
     attempts: int = 0
     #: Attempts that ended in an in-task exception (retry budget).
@@ -240,16 +287,22 @@ class BatchDecoder:
         children), which is also the automatic fallback on single-CPU
         hosts.
     task_timeout_s:
-        Wall-clock budget of one dispatch: a child that has not
-        replied within it is killed, and its task is charged a strike
-        and dispatched again on a fresh child.  ``None`` (default)
-        disables the watchdog.
+        Wall-clock budget of one dispatch, counted from the moment its
+        child has booted: a child that has not replied within it is
+        killed, and its task is charged a strike and dispatched again
+        on a fresh child.  ``None`` (default) disables the watchdog.
     max_attempts:
         Decode attempts per epoch that may end in an in-worker
         exception before the epoch is reported ``failed``.  Retries
         back off exponentially from ``retry_backoff_s``.
     retry_backoff_s:
         Base delay before the first retry; doubles per retry.
+
+    Constructing an engine starts no child.  The first multi-worker
+    call starts them; they and the engine's ring then serve every
+    later call until :meth:`close` (also run at the end of a ``with``
+    block and when the engine is garbage-collected).  A closed engine
+    may be used again; it starts fresh children.
     """
 
     def __init__(self, config: Optional[LFDecoderConfig] = None,
@@ -278,6 +331,24 @@ class BatchDecoder:
             raise ConfigurationError(
                 f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
         self.retry_backoff_s = retry_backoff_s
+        self._children = _Children()
+        self._finalizer = weakref.finalize(self, self._children.close)
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def close(self) -> None:
+        """Stop the engine's children and release its ring.
+
+        A call still iterating finishes its tasks on the children it
+        holds, sending traces inline, and stops them as it ends.
+        """
+        self._finalizer()
+
+    def __enter__(self) -> "BatchDecoder":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- public API --------------------------------------------------------
 
@@ -331,9 +402,9 @@ class BatchDecoder:
         """
         seed_iter = iter_spawn_seed_sequences(self.seed)
         tasks = (_Task(index=index, trace=trace,
-                       seed_seq=next(seed_iter))
+                       seed_seq=next(seed_iter), payload=index)
                  for index, trace in enumerate(traces))
-        yield from self._iter_task_outcomes(tasks, None)
+        yield from self._iter_task_outcomes(tasks, _decode_task)
 
     def iter_trials(self, trial_fn: Callable,
                     trials: Iterable[TrialSpec]
@@ -361,7 +432,7 @@ class BatchDecoder:
         yield from self._iter_task_outcomes(_tasks(), trial_fn)
 
     def _iter_task_outcomes(self, task_iter: Iterator[_Task],
-                            trial_fn: Optional[Callable]
+                            trial_fn: Callable
                             ) -> Iterator[EpochOutcome]:
         if self.max_workers <= 1:
             return self._iter_serial(task_iter, trial_fn)
@@ -370,7 +441,7 @@ class BatchDecoder:
     # -- serial path -------------------------------------------------------
 
     def _iter_serial(self, task_iter: Iterator[_Task],
-                     trial_fn: Optional[Callable]
+                     trial_fn: Callable
                      ) -> Iterator[EpochOutcome]:
         """In-process execution with the same retry policy (no
         watchdog: a hang in the caller's own process cannot be
@@ -380,9 +451,8 @@ class BatchDecoder:
             while True:
                 attempts += 1
                 try:
-                    result = _run_task(trial_fn, task.index, task.trace,
-                                       task.payload, task.seed_seq,
-                                       self.config)
+                    result = _run_task(trial_fn, task.trace, task.payload,
+                                       task.seed_seq, self.config)
                 except Exception as exc:  # noqa: BLE001 — supervision
                     if attempts >= self.max_attempts:
                         yield EpochOutcome(
@@ -399,17 +469,19 @@ class BatchDecoder:
     # -- supervised children path ------------------------------------------
 
     def _iter_children(self, task_iter: Iterator[_Task],
-                       trial_fn: Optional[Callable]
+                       trial_fn: Callable
                        ) -> Iterator[EpochOutcome]:
+        if self._children.closed:  # closed, now used again
+            self._children = _Children()
+            self._finalizer = weakref.finalize(self, self._children.close)
+        children = self._children
         pending: Deque[_Task] = deque()   # input order, until yielded
         redo: Deque[_Task] = deque()      # unsettled, awaiting a child
-        idle: List[SupervisedChild] = []
         busy: Dict[SupervisedChild, _Task] = {}
-        ring: Optional[ChunkRing] = None
         exhausted = False
         try:
             while True:
-                # Hand work to every free (or not yet forked) child:
+                # Hand work to every free (or not yet started) child:
                 # redispatches first, then fresh input.
                 while len(busy) < self.max_workers:
                     if redo:
@@ -420,54 +492,52 @@ class BatchDecoder:
                             exhausted = True
                             break
                         pending.append(task)
-                    if ring is None and task.trace is not None:
-                        ring = ChunkRing(
+                    if (children.ring is None and task.trace is not None
+                            and not children.closed):
+                        children.ring = ChunkRing(
                             2 * self.max_workers * len(task.trace))
-                    child = idle.pop() if idle else SupervisedChild(
-                        _batch_child, (self.config, trial_fn),
-                        name="lf-batch")
+                    child = children.take() or SupervisedChild(
+                        _batch_child, (self.config,), name="lf-batch")
                     busy[child] = task
                     task.attempts += 1
-                    child.send(self._message(task, ring),
+                    child.send(self._message(trial_fn, task,
+                                             children.ring),
                                self.task_timeout_s)
                 while pending and pending[0].settled:
                     yield self._outcome_of(pending.popleft())
                 if not busy:
                     break
                 for child in wait_ready(list(busy)):
-                    task = busy[child]
+                    task = busy.pop(child)
                     try:
                         ok, value = child.recv()
                     except ChildLost as lost:
-                        del busy[child]
                         self._charge_loss(task, lost, redo)
                     else:
-                        del busy[child]
-                        idle.append(child)
+                        children.idle.append(child)
                         if ok:
                             task.result, task.done = value, True
                         else:
                             self._charge_error(task, value, redo)
                     finally:
-                        if task.frame >= 0:
-                            ring.retire(task.frame)
-                            task.frame = -1
+                        children.retire(task)
         finally:
             # Completed, abandoned or unwinding: a busy child's task is
             # moot, so it is killed rather than waited for.
-            for child in idle:
-                child.stop()
-            for child in busy:
+            for child, task in busy.items():
                 child.stop(graceful=False)
-            if ring is not None:
-                ring.close()
+                children.retire(task)
+            if children.closed:  # the engine closed during this call
+                children.close()
 
     @staticmethod
-    def _message(task: _Task, ring: Optional[ChunkRing]) -> tuple:
+    def _message(trial_fn: Callable, task: _Task,
+                 ring: Optional[ChunkRing]) -> tuple:
         """The child message for one dispatch of ``task``: its trace
         rides a ring frame when one fits, else travels inline."""
         trace = task.trace
-        if trace is not None and ring.shm_name is not None:
+        if trace is not None and ring is not None \
+                and ring.shm_name is not None:
             try:
                 task.frame = ring.write(trace.samples)
             except (RingFullError, FrameTooLargeError):
@@ -476,7 +546,7 @@ class BatchDecoder:
                 start, n = ring.region(task.frame)
                 trace = (ring.shm_name, start, n, trace.sample_rate_hz,
                          trace.start_time_s, trace.allow_nonfinite)
-        return task.index, task.seed_seq, task.payload, trace
+        return trial_fn, task.seed_seq, task.payload, trace
 
     def _charge_loss(self, task: _Task, lost: ChildLost,
                      redo: Deque[_Task]) -> None:
@@ -490,7 +560,8 @@ class BatchDecoder:
                        f"{task.crashes} times; quarantined")
         else:
             self._fail(task, "WorkerCrashError: task killed its worker "
-                       f"process {task.crashes} times; quarantined")
+                       f"process {task.crashes} times; quarantined"
+                       + (f" ({lost.detail})" if lost.detail else ""))
 
     def _charge_error(self, task: _Task, error: str,
                       redo: Deque[_Task]) -> None:

@@ -9,7 +9,7 @@ child only the ``(start, n)`` region; the child attaches the same
 block by name through :class:`RingView` and decodes a zero-copy view.
 The streaming service gives each shard one long-lived ring
 (:mod:`repro.service.worker`); :class:`~repro.core.engine.BatchDecoder`
-sizes one ring per batch call from its traces.
+keeps one ring for its lifetime, sized from its first trace.
 
 Framing rules
 -------------
@@ -249,25 +249,16 @@ class RingView:
     all stay with the owning parent, so there is no cross-process
     state to keep coherent.
 
-    Attaching re-registers the block with the ``shared_memory``
-    resource tracker.  Under the ``fork`` start method the tracker
-    process is shared with the parent and registration is a set, so
-    the extra registration is harmless (and unregistering would strip
-    the parent's own entry); under per-process trackers the attachment
-    must be unregistered or the child's tracker tears the block down
-    when the child exits.
+    Attaching registers the block with the ``shared_memory`` resource
+    tracker a second time.  That tracker is the parent's (a child
+    started by :mod:`repro.core.child` inherits its pipe) and keeps a
+    set, so the extra registration is harmless, and the parent's
+    unlink clears it.  Unregistering here would strip the parent's
+    own entry.
     """
 
     def __init__(self, name: str):
         self._shm = _shared_memory.SharedMemory(name=name)
-        try:
-            import multiprocessing
-            if multiprocessing.get_start_method() != "fork":
-                from multiprocessing import resource_tracker
-                resource_tracker.unregister(self._shm._name,
-                                            "shared_memory")
-        except Exception:  # pragma: no cover - tracker layout varies
-            pass
         self.capacity = self._shm.size // _SAMPLE_DTYPE().itemsize
         self._buf = np.ndarray((self.capacity,), dtype=_SAMPLE_DTYPE,
                                buffer=self._shm.buf)

@@ -97,3 +97,15 @@ class FrameTooLargeError(ServiceError):
     No amount of retirement can make such a frame fit; the chunk must
     be split (or the ring sized up) before submission.
     """
+
+
+class ChildBootError(ReproError):
+    """A supervised child process could not start, or could not load
+    the work it was sent.
+
+    Raised in the caller when the child's target or arguments do not
+    pickle, when the child's fresh interpreter cannot import them, when
+    building its handler raised, or when a message names a function
+    the child cannot import.  No unit of work is charged for it: every
+    child would fail the same way, so none is tried again.
+    """

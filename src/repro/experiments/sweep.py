@@ -24,6 +24,16 @@ The runner folds cells *as they complete* (the engine streams outcomes
 in submission order), so a long sweep's rows materialize incrementally
 rather than after the last trial.
 
+Engine sharing
+--------------
+Every runner built with the default engine settings (no ``config``,
+``max_workers`` or engine keyword) runs on one engine per process.
+Its children boot once, at the first multi-worker sweep, and serve
+every later one until the process exits, so a run of several
+experiments pays one interpreter boot per worker, not one per
+experiment.  The engine's own root seed never reaches a trial (the
+runner seeds each one, see above), so sharing it changes no result.
+
 >>> grid = SweepGrid.from_axes(
 ...     {"snr_db": [0.0, 5.0], "n_tags": [1, 4]},
 ...     lambda coords: TrialSpec(payload=coords))
@@ -52,6 +62,9 @@ TrialsLike = Union[TrialSpec, Sequence[TrialSpec]]
 #: Folds one cell's ordered outcomes into zero or more result rows.
 FoldFn = Callable[["SweepCell", List[EpochOutcome]],
                   Union[None, Dict[str, Any], List[Dict[str, Any]]]]
+
+#: The engine default-configured runners share (see "Engine sharing").
+_shared_engine: Optional[BatchDecoder] = None
 
 
 @dataclass(frozen=True)
@@ -142,7 +155,8 @@ class SweepRunner:
         explicit seeds.
     max_workers / engine_kwargs:
         Forwarded to :class:`BatchDecoder` (worker count, watchdog,
-        retry policy).
+        retry policy).  With none of these and no ``config``, the
+        runner uses the process's shared engine.
     """
 
     def __init__(self, trial_fn: Callable,
@@ -150,11 +164,17 @@ class SweepRunner:
                  seed: int = 0,
                  max_workers: Optional[int] = None,
                  **engine_kwargs: Any):
+        global _shared_engine
         self.trial_fn = trial_fn
         self.seed = seed
-        self.engine = BatchDecoder(config=config, seed=seed,
-                                   max_workers=max_workers,
-                                   **engine_kwargs)
+        if config is not None or max_workers is not None or engine_kwargs:
+            self.engine = BatchDecoder(config=config, seed=seed,
+                                       max_workers=max_workers,
+                                       **engine_kwargs)
+        else:
+            if _shared_engine is None:
+                _shared_engine = BatchDecoder()
+            self.engine = _shared_engine
 
     # -- execution ---------------------------------------------------------
 

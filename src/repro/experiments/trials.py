@@ -1,9 +1,9 @@
 """Top-level trial functions for engine-dispatched experiment sweeps.
 
-:meth:`repro.core.engine.BatchDecoder.iter_trials` hands its trial
-function to forked children (pickled by module path where a host
-cannot fork), so the callables every refit experiment shares live
-here as plain top-level functions.  Each follows the
+:meth:`repro.core.engine.BatchDecoder.iter_trials` sends its trial
+function to child processes with every task, pickled by module path,
+so the callables every refit experiment shares live here as plain
+top-level functions.  Each follows the
 engine's trial signature ``(trace, payload, rng, config) -> Any`` and
 returns plain dicts/tuples (derived data only — never views of an
 engine-transported trace).

@@ -37,9 +37,9 @@ def decode_captures(captures: Sequence[EpochCapture],
     Each result's ``epoch_index`` matches its position in ``captures``
     (and therefore pairs with that capture's ground truth).
     """
-    engine = BatchDecoder(config=config, seed=seed,
-                          max_workers=max_workers)
-    return engine.decode_epochs([c.trace for c in captures])
+    with BatchDecoder(config=config, seed=seed,
+                      max_workers=max_workers) as engine:
+        return engine.decode_epochs([c.trace for c in captures])
 
 
 def chunk_trace(trace: IQTrace, chunk_samples: int,
@@ -102,11 +102,11 @@ def decode_chunked(trace: IQTrace, chunk_samples: int,
     if session is not None:
         results = [session.decode_epoch(chunk, sample_offset=shift)
                    for chunk, shift in zip(chunks, shifts)]
-    else:
-        engine = BatchDecoder(config=config, seed=seed,
-                              max_workers=max_workers)
-        results = engine.iter_decode(chunks)
-    return merge_chunk_results(zip(shifts, results), trace.duration_s)
+        return merge_chunk_results(zip(shifts, results), trace.duration_s)
+    with BatchDecoder(config=config, seed=seed,
+                      max_workers=max_workers) as engine:
+        return merge_chunk_results(zip(shifts, engine.iter_decode(chunks)),
+                                   trace.duration_s)
 
 
 def merge_chunk_results(pairs: Iterable[Tuple[float, EpochResult]],

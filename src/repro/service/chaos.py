@@ -27,12 +27,13 @@ the chunks asks :meth:`ChaosInjector.skew_for` for each chunk's skew
 and adds it to the chunk's ``start_time_s`` before submission.
 
 Chaos reaches both executors through the same seam: under
-``executor="process"`` the chaos-wrapped decoders are built *inside*
-each shard's child (the fork-inherited injector builds them there), so
-a **kill** takes down a real child process — the parent must reap and
-respawn it — while a **corrupt** scribbles the child's mapping of the
-shared ring.  The injector's counters are ``multiprocessing.Value``
-cells, so faults fired in children are visible to the parent's
+``executor="process"`` the injector travels to each shard's child
+pickled with the shard's config, and the chaos-wrapped decoders are
+built *inside* the child, so a **kill** takes down a real child
+process — the parent must reap and respawn it — while a **corrupt**
+scribbles the child's mapping of the shared ring.  The injector's
+counters are ``multiprocessing.Value`` cells handed to each child as
+it starts, so faults fired in children are visible to the parent's
 assertions.
 
 Every draw comes from a per-stream generator seeded by
@@ -57,6 +58,8 @@ from ..errors import ConfigurationError
 from ..utils.rng import make_rng
 from .config import ServiceConfig
 from .router import stream_seed
+
+_SPAWN = _mp.get_context("spawn")
 
 __all__ = ["ChaosConfig", "ChaosCrashError", "ChaosWorkerKill",
            "ChaosInjector", "CHAOS_COCKTAILS", "chaos_service_config",
@@ -193,8 +196,8 @@ class ChaosInjector:
     service survived X" should also assert X happened).
     """
 
-    #: The fault menu, fixed up front so the counters can live in
-    #: fork-inherited shared memory (see ``__init__``).
+    #: The fault menu, fixed up front so every counter exists before a
+    #: child starts (see ``__init__``).
     FAULTS: Tuple[str, ...] = ("stall", "crash", "kill", "corrupt",
                                "skew")
 
@@ -206,21 +209,32 @@ class ChaosInjector:
         self._lock = threading.Lock()
         # multiprocessing.Value counters so faults fired inside a
         # process-executor child (the _ChaosDecoder is built in the
-        # child, from the fork-inherited copy of this injector) tick
+        # child, from the copy of this injector pickled into it) tick
         # the *same* shared cells the parent reads.  Each Value brings
-        # its own cross-process lock.
-        self._counters = {name: _mp.Value("q", 0)
+        # its own cross-process lock.  Spawned children can only open
+        # cells made by a spawn context.
+        self._counters = {name: _SPAWN.Value("q", 0)
                           for name in self.FAULTS}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     def count(self, fault: str) -> None:
         counter = self._counters.get(fault)
         if counter is None:
             # Unknown fault names only ever come from parent-side
-            # extensions; a Value created after the fork would not be
-            # shared, so gate creation behind the in-process lock.
+            # extensions; a Value created after a child started is
+            # not shared with it, so gate creation behind the
+            # in-process lock.
             with self._lock:
                 counter = self._counters.setdefault(
-                    fault, _mp.Value("q", 0))
+                    fault, _SPAWN.Value("q", 0))
         with counter.get_lock():
             counter.value += 1
 

@@ -90,7 +90,10 @@ class ServiceConfig:
     #: ``None`` builds a SessionDecoder from ``decoder``/``session``
     #: seeded by :func:`repro.service.router.stream_seed`.  A custom
     #: factory receives ``(stream_key, seed)`` and must return an
-    #: object with ``decode_epoch(trace, sample_offset=...)``.
+    #: object with ``decode_epoch(trace, sample_offset=...)``.  Under
+    #: ``executor="process"`` the config is pickled into each shard's
+    #: child, so the factory must pickle: a top-level function, or a
+    #: method of a picklable object.
     decoder_factory: Optional[Callable[[Tuple[int, int], int],
                                        object]] = None
 

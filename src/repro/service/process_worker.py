@@ -46,11 +46,15 @@ parent counts every metric from it in
 :meth:`~repro.service.worker.ShardWorker._complete`, exactly as a
 thread shard does.
 
-Children are forked in :meth:`ProcessShardWorker.prestart`, before the
-service starts any dispatcher thread: forking a single-threaded parent
-cannot inherit a lock mid-acquire.  The child leaves through
-``os._exit``, so no ``ChunkRing.__del__`` it inherited can ever fire
-there and unlink a block the parent still owns.
+Each child starts from a fresh interpreter in
+:meth:`ProcessShardWorker.prestart`, and the service waits for it to
+boot before any dispatcher thread runs, so a child that cannot start
+raises :class:`~repro.errors.ChildBootError` in
+:meth:`DecodeService.start`.  The child is built from the shard's
+:class:`~repro.service.config.ServiceConfig`, pickled into it, so the
+config's ``decoder_factory`` must pickle too.  A replacement child
+boots while its frame waits in the pipe; the frame's
+``child_timeout_s`` runs from the moment it has booted.
 """
 
 from __future__ import annotations
@@ -98,6 +102,7 @@ class ProcessShardWorker(ShardWorker):
     def prestart(self) -> None:
         with self._ipc:
             self._spawn_child_locked()
+            self._child.wait_booted()
 
     def _spawn_child_locked(self) -> None:
         self._child = SupervisedChild(

@@ -129,11 +129,15 @@ class DecodeService:
         if self._started:
             return self
         self._loop = asyncio.get_running_loop()
-        # Executor prestart (the process executor forks its children
-        # here) runs before ANY worker thread exists: forking a
-        # single-threaded parent cannot inherit a lock mid-acquire.
-        for worker in self._workers:
-            worker.prestart()
+        # Process shards boot their children first; one that cannot
+        # boot raises here, and no shard is left running.
+        try:
+            for worker in self._workers:
+                worker.prestart()
+        except BaseException:
+            for worker in self._workers:
+                worker.stop(drain=False)
+            raise
         for worker in self._workers:
             worker.start()
         self._started = True
@@ -177,8 +181,11 @@ class DecodeService:
         if self.config.overflow == BLOCK:
             while not worker.has_room():
                 # Completions set the event from worker threads; the
-                # short timeout only covers the clear/complete race.
+                # short timeout covers the clear/complete race, and a
+                # worker thread that died while we wait is respawned
+                # here, or its full queue would never drain.
                 self._completion.clear()
+                worker.ensure_alive()
                 if worker.has_room():
                     break
                 try:

@@ -326,10 +326,10 @@ class ShardWorker:
     # -- lifecycle ---------------------------------------------------------
 
     def prestart(self) -> None:
-        """Executor hook run by the service *before* any worker thread
-        starts.  The process executor forks its children here, while
-        the parent is still single-threaded (forking a multi-threaded
-        process can inherit locks mid-acquire)."""
+        """Executor hook run by the service before any worker thread
+        starts.  The process executor starts its child here and waits
+        for it to boot, so a child that cannot start fails the
+        service's start."""
 
     def start(self) -> None:
         self._thread = threading.Thread(

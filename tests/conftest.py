@@ -20,12 +20,12 @@ from repro.types import SimulationProfile, TagConfig
 
 if os.environ.get("REPRO_STAGE_OBSERVER"):
     # Observer-attached test mode: every decoder the suite constructs
-    # gets a counting StageObserver, so a full run under this flag
-    # proves observation is zero-cost to correctness (CI runs the
-    # chaos + equivalence suites both ways).  Note process-pool
-    # workers construct their decoders in child processes where this
-    # hook is absent — exactly the point: their results must match
-    # the observed in-process ones anyway.
+    # in this process gets a counting StageObserver, so a full run
+    # under this flag proves observation is zero-cost to correctness
+    # (CI runs the chaos + equivalence suites both ways).  Child
+    # processes start from a fresh interpreter that never imports
+    # this file, so their decoders run unobserved, and their results
+    # must match the observed in-process ones all the same.
     from repro.core.stages import StageObserver
 
     class _CountingObserver(StageObserver):

@@ -1,17 +1,21 @@
 """Unit tests of the supervised-child primitive (``repro.core.child``).
 
-Handlers are closures built in the test process; the children are
-forked, so nothing here needs to pickle but the messages.
+Each child is a fresh interpreter that imports this module to find its
+target, so targets are top-level functions; the handlers they return
+are closures built inside the child.
 """
 
 import os
 import signal
+import sys
 import time
+import types
 
 import pytest
 
 from repro.core import child as child_module
 from repro.core.child import ChildLost, SupervisedChild, wait_ready
+from repro.errors import ChildBootError
 
 
 def _echo():
@@ -39,9 +43,19 @@ def _stubborn():
     return handle
 
 
+def _slow_boot():
+    """Takes a second to build its handler."""
+    time.sleep(1.0)
+    return lambda message: message
+
+
+def _refuse_to_boot():
+    raise RuntimeError("no handler today")
+
+
 @pytest.fixture
 def spawned():
-    """Children a test forks; each must be dead by the test's end."""
+    """Children a test starts; each must be dead by the test's end."""
     children = []
 
     def spawn(target):
@@ -99,6 +113,7 @@ def test_missed_deadline_is_a_hang(spawned):
 def test_stop_escalates_to_kill(spawned, monkeypatch):
     monkeypatch.setattr(child_module, "_STOP_STEP_S", 0.3)
     child = spawned(_stubborn)
+    child.wait_booted()          # SIGTERM is ignored from here on
     child.send("busy")
     time.sleep(0.2)              # let the handler start sleeping
     child.stop()
@@ -119,3 +134,62 @@ def test_wait_ready_returns_the_first_reply(spawned):
         late.recv()
     for child in (slow, fast):
         child.stop(graceful=False)
+
+
+def test_deadline_runs_from_boot(spawned):
+    """Booting takes longer than the reply budget; only the handler's
+    own time counts against it."""
+    child = spawned(_slow_boot)
+    child.send("hello", timeout=0.5)
+    assert child.recv() == "hello"
+    child.send("again", timeout=0.5)
+    assert wait_ready([child]) == [child]
+    assert child.recv() == "again"
+    child.stop()
+
+
+def test_unpicklable_target_raises_in_the_caller(spawned):
+    with pytest.raises(ChildBootError, match="pickle"):
+        spawned(lambda: _echo())
+
+
+def test_target_the_child_cannot_import_raises_in_the_caller(
+        spawned, monkeypatch):
+    module = types.ModuleType("lf_parent_only_module")
+    exec("def target():\n    return lambda message: message\n",
+         module.__dict__)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    child = spawned(module.target)
+    child.send("hello")
+    with pytest.raises(ChildBootError, match="before building"):
+        child.recv()
+
+
+def test_handler_that_cannot_be_built_raises_in_the_caller(spawned):
+    child = spawned(_refuse_to_boot)
+    child.send("hello", timeout=0.5)
+    with pytest.raises(ChildBootError, match="no handler today"):
+        wait_ready([child])
+
+
+def test_boot_that_outlasts_its_budget_raises_in_the_caller(
+        spawned, monkeypatch):
+    monkeypatch.setattr(child_module, "_BOOT_TIMEOUT_S", 0.5)
+    child = spawned(_slow_boot)
+    with pytest.raises(ChildBootError, match="no boot report"):
+        child.wait_booted()
+
+
+def test_message_the_child_cannot_load_raises_in_the_caller(
+        spawned, monkeypatch):
+    """Not a crash of the work it carries: every child would fail to
+    load it, so it is the caller's error, like a failed boot."""
+    module = types.ModuleType("lf_parent_only_payload")
+    exec("def payload():\n    pass\n", module.__dict__)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    child = spawned(_echo)
+    child.send(module.payload)
+    with pytest.raises(ChildBootError,
+                       match="cannot load its message.*lf_parent_only"):
+        child.recv()
+    assert not child.alive

@@ -67,7 +67,8 @@ def test_different_seeds_are_independent_per_task(traces, config):
     """Task results depend only on (root seed, index), not on what the
     engine decoded before them."""
     seqs = spawn_seed_sequences(3, len(traces))
-    direct = [_decode_task(i, trace, seqs[i], config=config)
+    direct = [_decode_task(trace, i, np.random.default_rng(seqs[i]),
+                           config)
               for i, trace in enumerate(traces)]
     batch = BatchDecoder(config=config, seed=3,
                          max_workers=1).decode_epochs(traces)

@@ -1,10 +1,10 @@
 """Supervision tests for the batch engine: crashes, hangs, retries,
 exact blame, and resource cleanup.
 
-The crash/hang helpers monkeypatch :func:`repro.core.engine._decode_task`
-in the parent process; the engine's children are forked *after* the
-patch (children spawn lazily at first dispatch, and every replacement
-re-forks), so the sabotage propagates into every child.
+Each test swaps a sabotaged trial from :mod:`tests.core.sabotage` in
+for :func:`repro.core.engine._decode_task` in the test process.  The
+engine sends its trial function to its children with every task, by
+reference, so every spawned child imports the sabotage and runs it.
 """
 
 import glob
@@ -13,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.core.engine import BatchDecoder, EpochOutcome, _decode_task
 from repro.utils.rng import spawn_seed_sequences
 
 from ..conftest import build_decoder, build_network
+from . import sabotage
 
 N_EPOCHS = 6
 
@@ -53,7 +55,7 @@ def traces(captures):
 def baseline(config, traces):
     """Serial reference results for the same seeds."""
     seqs = spawn_seed_sequences(0, len(traces))
-    return [_decode_task(i, t, seqs[i], config=config)
+    return [_decode_task(t, i, np.random.default_rng(seqs[i]), config)
             for i, t in enumerate(traces)]
 
 
@@ -69,13 +71,8 @@ class TestWorkerCrash:
     def test_crashing_task_quarantined_batch_completes(
             self, config, traces, baseline, monkeypatch):
         victim = 2
-
-        def crashing(index, trace, seed_seq, config=None):
-            if index == victim:
-                os._exit(17)
-            return _decode_task(index, trace, seed_seq, config=config)
-
-        monkeypatch.setattr(engine_module, "_decode_task", crashing)
+        monkeypatch.setattr(engine_module, "_decode_task",
+                            partial(sabotage.crash_at, victim))
         engine = BatchDecoder(config=config, seed=0, max_workers=2)
         outcomes = engine.decode_outcomes(traces)
         assert [o.epoch_index for o in outcomes] == \
@@ -89,12 +86,8 @@ class TestWorkerCrash:
 
     def test_crash_surfaces_as_engine_fault_in_iter_decode(
             self, config, traces, monkeypatch):
-        def crashing(index, trace, seed_seq, config=None):
-            if index == 1:
-                os._exit(17)
-            return _decode_task(index, trace, seed_seq, config=config)
-
-        monkeypatch.setattr(engine_module, "_decode_task", crashing)
+        monkeypatch.setattr(engine_module, "_decode_task",
+                            partial(sabotage.crash_at, 1))
         engine = BatchDecoder(config=config, seed=0, max_workers=2)
         results = engine.decode_epochs(traces)
         assert len(results) == len(traces)
@@ -108,13 +101,8 @@ class TestHang:
     def test_hung_task_times_out_batch_completes(
             self, config, traces, baseline, monkeypatch):
         victim = 1
-
-        def hanging(index, trace, seed_seq, config=None):
-            if index == victim:
-                time.sleep(300)
-            return _decode_task(index, trace, seed_seq, config=config)
-
-        monkeypatch.setattr(engine_module, "_decode_task", hanging)
+        monkeypatch.setattr(engine_module, "_decode_task",
+                            partial(sabotage.hang_at, victim))
         engine = BatchDecoder(config=config, seed=0, max_workers=2,
                               task_timeout_s=1.0)
         start = time.monotonic()
@@ -135,15 +123,9 @@ class TestRetry:
     def test_transient_worker_error_retried(self, config, traces,
                                             baseline, monkeypatch,
                                             tmp_path):
-        marker = tmp_path / "failed-once"
-
-        def flaky(index, trace, seed_seq, config=None):
-            if index == 3 and not marker.exists():
-                marker.write_text("x")
-                raise RuntimeError("transient glitch")
-            return _decode_task(index, trace, seed_seq, config=config)
-
-        monkeypatch.setattr(engine_module, "_decode_task", flaky)
+        marker = str(tmp_path / "failed-once")
+        monkeypatch.setattr(engine_module, "_decode_task",
+                            partial(sabotage.raise_once_at, 3, marker))
         engine = BatchDecoder(config=config, seed=0, max_workers=2,
                               max_attempts=3)
         outcomes = engine.decode_outcomes(traces)
@@ -153,12 +135,8 @@ class TestRetry:
 
     def test_persistent_error_fails_after_max_attempts(
             self, config, traces, monkeypatch):
-        def broken(index, trace, seed_seq, config=None):
-            if index == 0:
-                raise ValueError("permanently broken epoch")
-            return _decode_task(index, trace, seed_seq, config=config)
-
-        monkeypatch.setattr(engine_module, "_decode_task", broken)
+        monkeypatch.setattr(engine_module, "_decode_task",
+                            partial(sabotage.raise_at, 0))
         engine = BatchDecoder(config=config, seed=0, max_workers=2,
                               max_attempts=2, retry_backoff_s=0.01)
         outcomes = engine.decode_outcomes(traces)
@@ -170,7 +148,7 @@ class TestRetry:
             self, config, traces, monkeypatch):
         calls = []
 
-        def broken(index, trace, seed_seq, config=None):
+        def broken(trace, index, rng, config):
             calls.append(index)
             raise ValueError("nope")
 
@@ -206,42 +184,27 @@ def _shm_blocks():
 
 
 class TestSharedMemoryHygiene:
+    """The ring outlives a call but not the engine, and a call that ends
+    early or loses a child leaves no frame live in it."""
+
     def test_abandoned_iteration_leaks_no_blocks(self, config, traces):
         before = _shm_blocks()
-        engine = BatchDecoder(config=config, seed=0, max_workers=2)
-        iterator = engine.iter_decode(traces)
-        next(iterator)
-        iterator.close()  # consumer walks away mid-batch
+        with BatchDecoder(config=config, seed=0, max_workers=2) as engine:
+            iterator = engine.iter_decode(traces)
+            next(iterator)
+            iterator.close()  # consumer walks away mid-batch
+            assert engine._children.ring.live_frames == 0
         assert _shm_blocks() == before
 
     def test_crash_path_leaks_no_blocks(self, config, traces,
                                         monkeypatch):
-        def crashing(index, trace, seed_seq, config=None):
-            if index == 2:
-                os._exit(17)
-            return _decode_task(index, trace, seed_seq, config=config)
-
-        monkeypatch.setattr(engine_module, "_decode_task", crashing)
+        monkeypatch.setattr(engine_module, "_decode_task",
+                            partial(sabotage.crash_at, 2))
         before = _shm_blocks()
-        engine = BatchDecoder(config=config, seed=0, max_workers=2)
-        engine.decode_outcomes(traces)
+        with BatchDecoder(config=config, seed=0, max_workers=2) as engine:
+            engine.decode_outcomes(traces)
+            assert engine._children.ring.live_frames == 0
         assert _shm_blocks() == before
-
-
-def _crash_at(victim):
-    def crashing(index, trace, seed_seq, config=None):
-        if index == victim:
-            os._exit(17)
-        return _decode_task(index, trace, seed_seq, config=config)
-    return crashing
-
-
-def _hang_at(victim):
-    def hanging(index, trace, seed_seq, config=None):
-        if index == victim:
-            time.sleep(300)
-        return _decode_task(index, trace, seed_seq, config=config)
-    return hanging
 
 
 class TestExactBlame:
@@ -249,14 +212,16 @@ class TestExactBlame:
 
     def test_crash_charges_only_the_victim(self, config, traces,
                                            monkeypatch):
-        monkeypatch.setattr(engine_module, "_decode_task", _crash_at(2))
+        monkeypatch.setattr(engine_module, "_decode_task",
+                            partial(sabotage.crash_at, 2))
         engine = BatchDecoder(config=config, seed=0, max_workers=2)
         outcomes = engine.decode_outcomes(traces)
         assert [o.attempts for o in outcomes] == [1, 1, 2, 1, 1, 1]
 
     def test_hang_charges_only_the_victim(self, config, traces,
                                           monkeypatch):
-        monkeypatch.setattr(engine_module, "_decode_task", _hang_at(1))
+        monkeypatch.setattr(engine_module, "_decode_task",
+                            partial(sabotage.hang_at, 1))
         engine = BatchDecoder(config=config, seed=0, max_workers=2,
                               task_timeout_s=1.0)
         outcomes = engine.decode_outcomes(traces)
@@ -279,18 +244,24 @@ def _child_pids():
     not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
     reason="needs /proc/<pid>/task/<tid>/children")
 class TestNothingOutlivesABatch:
+    """A child lost to a crash or a hang never outlives the call that
+    lost it; the children an engine keeps between calls, and its ring,
+    never outlive :meth:`BatchDecoder.close`."""
+
     @pytest.mark.parametrize("ending",
                              ["finished", "abandoned", "crashed", "hung"])
     def test_no_child_or_shm_block_survives(self, ending, config, traces,
-                                            monkeypatch):
+                                            monkeypatch, tmp_path):
         from multiprocessing import resource_tracker
         resource_tracker.ensure_running()  # a long-lived helper, not ours
         pids_before, shm_before = _child_pids(), _shm_blocks()
+        lost_pid = tmp_path / "lost.pid"
         if ending == "crashed":
-            monkeypatch.setattr(engine_module, "_decode_task",
-                                _crash_at(2))
+            monkeypatch.setattr(engine_module, "_decode_task", partial(
+                sabotage.crash_at, 2, pid_file=str(lost_pid)))
         if ending == "hung":
-            monkeypatch.setattr(engine_module, "_decode_task", _hang_at(1))
+            monkeypatch.setattr(engine_module, "_decode_task", partial(
+                sabotage.hang_at, 1, pid_file=str(lost_pid)))
         engine = BatchDecoder(config=config, seed=0, max_workers=2,
                               task_timeout_s=1.0)
         iterator = engine.iter_outcomes(traces)
@@ -299,23 +270,26 @@ class TestNothingOutlivesABatch:
             iterator.close()
         else:
             assert len(list(iterator)) == len(traces)
+        kept = _child_pids() - pids_before
+        assert kept == {child._proc.pid
+                        for child in engine._children.idle}
+        assert len(kept) <= 2
+        if ending in ("crashed", "hung"):
+            assert int(lost_pid.read_text()) not in kept
+        engine.close()
         assert _child_pids() - pids_before == set()
         assert _shm_blocks() == shm_before
 
 
 _LONE_INPUT = textwrap.dedent("""
-    import os, sys, time
+    import functools, sys
     import numpy as np
     from repro.core import engine
-    from repro.types import EpochResult, IQTrace
+    from repro.types import IQTrace
+    from tests.core import sabotage
 
-    def sabotaged(index, trace, seed_seq, config=None):
-        if sys.argv[1] == "hang":
-            time.sleep(3.0)
-            return EpochResult()
-        os._exit(17)
-
-    engine._decode_task = sabotaged
+    fault = getattr(sabotage, sys.argv[1] + "_at")
+    engine._decode_task = functools.partial(fault, 0)
     trace = IQTrace(samples=np.ones(256, dtype=np.complex128),
                     sample_rate_hz=1e6)
     outcome, = engine.BatchDecoder(
@@ -328,13 +302,16 @@ class TestLoneInput:
     """With ``max_workers > 1`` a batch of one input is supervised like
     any other: the watchdog bounds it and its crash kills a child, not
     the caller.  Each case runs in its own interpreter, since at worst
-    it takes that interpreter down."""
+    it takes that interpreter down.  The sabotage reaches the children
+    from an importable module: a ``-c`` script's own functions cannot
+    be loaded by a spawned child."""
 
     @pytest.mark.parametrize("fault, error", [
         ("hang", "TaskHangError"), ("crash", "WorkerCrashError")])
     def test_lone_input_is_supervised(self, fault, error):
-        src = Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root)]))
         proc = subprocess.run([sys.executable, "-c", _LONE_INPUT, fault],
                               env=env, capture_output=True, text=True,
                               timeout=120)

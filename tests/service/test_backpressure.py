@@ -25,9 +25,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service import (BLOCK, SHED_OLDEST, ChunkResult,
-                           DecodeService, ServiceConfig, STATUS_FAILED,
-                           STATUS_OK, STATUS_SHED)
+from repro.service import (BLOCK, SHED_OLDEST, ChaosWorkerKill,
+                           ChunkResult, DecodeService, ServiceConfig,
+                           STATUS_FAILED, STATUS_OK, STATUS_SHED,
+                           capture_thread_exceptions)
 from repro.types import EpochResult, IQTrace
 
 
@@ -72,7 +73,8 @@ class _Harness:
         config_kwargs.setdefault("queue_depth", 2)
         # The gate/counter seams are in-process shared state: pin the
         # thread executor so the REPRO_SERVICE_EXECUTOR matrix cannot
-        # fork them away from the asserting test.
+        # move them into a child process, away from the asserting
+        # test.
         config_kwargs.setdefault("executor", "thread")
         self.config = ServiceConfig(decoder_factory=factory,
                                     **config_kwargs)
@@ -157,6 +159,61 @@ def test_block_policy_applies_producer_backpressure():
         assert snap.decoded == snap.submitted
 
     asyncio.run(run())
+
+
+class _KillWhileProducerWaits:
+    """The first decode dies with ``ChaosWorkerKill``, but only once a
+    producer has found the queue full and is waiting for room."""
+
+    def __init__(self, producer_waits: threading.Event):
+        self.producer_waits = producer_waits
+        self.calls = 0
+
+    def decode_epoch(self, trace, sample_offset=0.0):
+        self.calls += 1
+        if self.calls == 1:
+            assert self.producer_waits.wait(timeout=30.0)
+            raise ChaosWorkerKill("die while the producer waits")
+        return EpochResult(duration_s=trace.duration_s)
+
+
+def test_block_policy_respawns_a_worker_that_dies_while_producer_waits():
+    """The worker thread dies while the producer waits for room in a
+    full queue.  Nothing else will call in, so the wait itself must
+    respawn the thread, or the queue never drains."""
+    producer_waits = threading.Event()
+    decoder = _KillWhileProducerWaits(producer_waits)
+    service = DecodeService(ServiceConfig(
+        n_shards=1, queue_depth=1, overflow=BLOCK, executor="thread",
+        decoder_factory=lambda key, seed: decoder))
+    worker = service._workers[0]
+    has_room = worker.has_room
+
+    def has_room_watched() -> bool:
+        room = has_room()
+        if not room:
+            producer_waits.set()
+        return room
+
+    async def run():
+        async with service:
+            await service.submit(0, 0, _trace())
+            while decoder.calls < 1:     # frame 0 is in the decode...
+                await asyncio.sleep(0.005)
+            await service.submit(0, 0, _trace())  # ...frame 1 fills
+            worker.has_room = has_room_watched
+            for _ in range(4):
+                await asyncio.wait_for(service.submit(0, 0, _trace()),
+                                       timeout=10.0)
+            assert await asyncio.wait_for(service.drain(), timeout=10.0)
+
+    with capture_thread_exceptions() as escapes:
+        asyncio.run(run())
+    stats = service.snapshot()
+    assert stats.submitted == 6
+    assert stats.submitted == stats.decoded + stats.failed + stats.shed
+    assert (stats.failed, stats.shed) == (1, 0)
+    assert escapes.escapes and escapes.unexpected == []
 
 
 def test_overload_at_twice_capacity_sheds_below_the_ceiling():

@@ -83,8 +83,10 @@ async def _pump(h: _Harness, n_chunks: int) -> None:
             # Let the single worker keep up so nothing sheds and
             # every chunk actually reaches the chaos decoder.  Drain
             # rather than poll the depth: a kill can leave frames
-            # queued behind a dead worker thread, and only submit and
-            # drain respawn it.
+            # queued behind a dead worker thread, and a depth poll
+            # never respawns it (submit does on entry and, under the
+            # block policy, while it waits for room; drain does while
+            # work remains).
             if h.service.snapshot().queue_depths[0] >= 2:
                 await h.service.drain()
         await h.service.drain()

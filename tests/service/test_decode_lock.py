@@ -59,17 +59,18 @@ def _reader_per_shard(n_shards: int) -> List[int]:
 class _OverlapProbe:
     """Counts decodes in flight across every shard.
 
-    The counters are ``multiprocessing.Value`` cells, so decodes that
-    run in fork-inherited process-executor children tick the same
-    cells the test reads (the idiom ``service/chaos.py`` uses).
-    ``completions`` — the shard of each finished decode, in order — is
-    only filled in-process.
+    The counters are ``multiprocessing.Value`` cells from a spawn
+    context, handed to each process-executor child as it starts, so
+    decodes there tick the same cells the test reads (the idiom
+    ``service/chaos.py`` uses).  ``completions`` — the shard of each
+    finished decode, in order — is only filled in-process.
     """
 
     def __init__(self, n_shards: int):
         self.n_shards = n_shards
-        self._in_flight = mp.Value("q", 0)
-        self._peak = mp.Value("q", 0)
+        spawn = mp.get_context("spawn")
+        self._in_flight = spawn.Value("q", 0)
+        self._peak = spawn.Value("q", 0)
         self.completions: List[int] = []
 
     @property
@@ -204,8 +205,6 @@ def test_worker_kill_releases_the_decode_lock():
     assert escapes.unexpected == []
 
 
-@pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
-                    reason="process-executor probe needs fork")
 def test_process_shards_still_decode_in_parallel():
     probe = _OverlapProbe(2)
     config = ServiceConfig(n_shards=2, executor="process",

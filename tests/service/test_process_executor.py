@@ -22,11 +22,13 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.errors import ChildBootError
 from repro.service import DecodeService, SHED_OLDEST, ServiceConfig
 from repro.types import EpochResult, IQTrace
 
@@ -57,6 +59,10 @@ class _MarkerDecoder:
         return EpochResult(duration_s=trace.duration_s)
 
 
+def _marker_factory(sentinel: str, key, seed) -> _MarkerDecoder:
+    return _MarkerDecoder(sentinel)
+
+
 def _trace(lead: complex = 1 + 1j, n: int = 256) -> IQTrace:
     samples = np.ones(n, dtype=np.complex128)
     samples[0] = lead
@@ -69,7 +75,7 @@ def _run(tmp_path, traces, child_timeout_s=None):
     config = ServiceConfig(
         n_shards=1, queue_depth=8, overflow=SHED_OLDEST,
         executor="process", child_timeout_s=child_timeout_s,
-        decoder_factory=lambda key, seed: _MarkerDecoder(sentinel))
+        decoder_factory=partial(_marker_factory, sentinel))
     service = DecodeService(config)
     results: list = []
     service.add_result_handler(results.append)
@@ -122,6 +128,28 @@ def test_silent_child_death_resubmits_and_recovers_the_frame(
     assert [r.status for r in results] == ["ok", "ok", "ok"]
     assert stats.failed == 0
     assert 'kind="worker_process"' in service.render_metrics()
+
+
+@pytest.mark.skipif(not _SHM_DIR.is_dir(),
+                    reason="no /dev/shm on this platform")
+def test_child_that_cannot_boot_fails_start_and_leaves_nothing():
+    """A shard child is built from its pickled config; a factory that
+    does not pickle fails ``start()`` itself, and the half-built
+    service leaves no ring and no child behind."""
+    before = {p.name for p in _SHM_DIR.iterdir()}
+    service = DecodeService(ServiceConfig(
+        n_shards=2, executor="process",
+        decoder_factory=lambda key, seed: _MarkerDecoder("unused")))
+
+    async def run():
+        async with service:
+            pass
+
+    with pytest.raises(ChildBootError, match="pickle"):
+        asyncio.run(run())
+    assert {p.name for p in _SHM_DIR.iterdir()} == before
+    assert all(w._child is None or not w._child.alive
+               for w in service._workers)
 
 
 @pytest.mark.skipif(not _SHM_DIR.is_dir(),

@@ -9,11 +9,19 @@ submitter still gets a terminal ``failed`` verdict, and when the
 service shuts down every backing segment is unlinked.  These tests pin
 each link of that chain, ending with a filesystem-level check that no
 ``/dev/shm`` entry outlives the service.
+
+A chaos injector's fault counters are cross-process cells whose named
+semaphores sit in ``/dev/shm`` while the injector lives.  The chaos
+tests therefore check twice: no ring block (``psm_*``) is left while
+the service is still referenced, so shutdown itself unlinked them, and
+no entry of any kind is left once the service and the injector are
+released.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 from pathlib import Path
 
@@ -38,6 +46,12 @@ def _shm_entries() -> set:
     if not _SHM_DIR.is_dir():
         return set()
     return {p.name for p in _SHM_DIR.iterdir()}
+
+
+def _ring_blocks(entries: set) -> set:
+    """The shared-memory blocks among ``/dev/shm`` entries (shard
+    rings), as opposed to the semaphores of chaos counters."""
+    return {name for name in entries if name.startswith("psm_")}
 
 
 class _KillNthDecoder:
@@ -137,6 +151,9 @@ def test_chaos_kill_cocktail_leaves_no_shm_behind():
         asyncio.run(run())
     assert injector.counts()["kill"] > 0
     assert escapes.unexpected == []
+    assert not _ring_blocks(_shm_entries() - before)
+    del service, injector, config, escapes
+    gc.collect()
     leaked = _shm_entries() - before
     assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
 
@@ -144,13 +161,18 @@ def test_chaos_kill_cocktail_leaves_no_shm_behind():
 # -- process executor: the same hygiene across a real process boundary --
 
 
+def _never_killed(key, seed) -> _KillNthDecoder:
+    """A plain decoder the chaos injector wraps; top-level so it
+    pickles into each shard's child."""
+    return _KillNthDecoder(())
+
+
 def _run_process_chaos(n_chunks: int, chaos: ChaosConfig) -> tuple:
     """Chaos replay with ``executor="process"``; returns
     ``(service, results, injector, rings)`` captured pre-shutdown."""
     base = ServiceConfig(n_shards=2, queue_depth=8,
                          overflow=SHED_OLDEST, executor="process",
-                         decoder_factory=lambda key, seed:
-                         _KillNthDecoder(()))
+                         decoder_factory=_never_killed)
     config, injector = chaos_service_config(base, chaos)
     service = DecodeService(config)
     results: list = []
@@ -195,6 +217,9 @@ def test_killed_child_retires_in_flight_frame_without_leaking_slot():
     # The parent respawned a child per kill (exposed as
     # worker_process respawns in the shared registry).
     assert 'kind="worker_process"' in service.render_metrics()
+    assert not _ring_blocks(_shm_entries() - before)
+    del service, injector
+    gc.collect()
     leaked = _shm_entries() - before
     assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
 
@@ -212,6 +237,9 @@ def test_process_executor_reaps_children_and_shm_on_shutdown():
         12, ChaosConfig(crash_rate=0.2, corrupt_rate=0.2, seed=5))
     stats = service.snapshot()
     assert stats.submitted == stats.decoded + stats.failed + stats.shed
+    assert not _ring_blocks(_shm_entries() - before)
+    del service, injector
+    gc.collect()
     leaked = _shm_entries() - before
     assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
     orphans = {p.pid for p in mp.active_children()} - children_before

@@ -8,15 +8,15 @@ ticks ``lf_stream_faults_total``, and ``DecodeService.cache_stats()``
 sums each decoded chunk's ``cache_stats``.
 
 The fake decoder factories live at module level so a process shard's
-forked child inherits them; every test pins its executor.
+spawned child can unpickle them; every test pins its executor.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
+from functools import partial
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -164,8 +164,8 @@ class _CrashOnceDecoder:
     """Kills its process without a word the first time it sees the
     crash marker; the sentinel file remembers it across children."""
 
-    #: Set by the test before the service forks its children.
-    sentinel: Optional[Path] = None
+    def __init__(self, sentinel: Path):
+        self.sentinel = sentinel
 
     def decode_epoch(self, trace, sample_offset=0.0):
         if complex(trace.samples[0]) == _CRASH_MARKER \
@@ -175,18 +175,17 @@ class _CrashOnceDecoder:
         return EpochResult(duration_s=trace.duration_s)
 
 
-def _crash_once_factory(key, seed):
-    return _CrashOnceDecoder()
+def _crash_once_factory(sentinel, key, seed):
+    return _CrashOnceDecoder(sentinel)
 
 
-def test_strike_resubmission_is_not_a_retry(tmp_path, monkeypatch):
+def test_strike_resubmission_is_not_a_retry(tmp_path):
     """A frame whose child died is resubmitted to a fresh child; that
     second strike is supervision, not a pool retry."""
-    monkeypatch.setattr(_CrashOnceDecoder, "sentinel",
-                        tmp_path / "crashed")
     results, _, page = _run(
         ServiceConfig(n_shards=1, executor="process",
-                      decoder_factory=_crash_once_factory),
+                      decoder_factory=partial(_crash_once_factory,
+                                              tmp_path / "crashed")),
         [(0, _trace()), (0, _trace(_CRASH_MARKER)), (0, _trace())])
     assert [r.status for r in results] == ["ok", "ok", "ok"]
     assert 'kind="worker_process"' in page
