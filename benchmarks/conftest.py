@@ -20,18 +20,16 @@ BENCH_N_TAGS = 16
 def sixteen_tag_synth(drift_ppm=None, noise_std=0.01):
     """The shared 16-tag benchmark network, as a scenario synthesizer.
 
-    Both speed benchmarks draw the same population (seed 77, inherited
-    simulator generator — the convention their committed baselines
-    were recorded under); they differ only in crystal quality and
-    noise floor, which callers override here.  Consecutive
-    ``capture(epoch_index=i)`` calls on the returned synthesizer renders
-    a multi-epoch session, matching the sessions the baselines pinned.
+    Both speed benchmarks draw the same population (seed 77, default
+    scenario seeding); they differ only in crystal quality and noise
+    floor, which callers override here.  Consecutive
+    ``capture(epoch_index=i)`` calls on the returned synthesizer render
+    a multi-epoch session.
     """
     from repro.experiments.scenario import ScenarioSpec, ScenarioSynth
     spec = ScenarioSpec(
         name="bench_16_tag", n_tags=BENCH_N_TAGS, bitrate_bps=10e3,
-        noise_std=noise_std, drift_ppm=drift_ppm, seed=BENCH_SEED,
-        spawn_sim_rng=False)
+        noise_std=noise_std, drift_ppm=drift_ppm, seed=BENCH_SEED)
     return ScenarioSynth(spec)
 
 

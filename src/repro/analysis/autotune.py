@@ -33,6 +33,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..types import SimulationProfile
+from ..utils.rng import key_seed
 
 __all__ = ["Knob", "DEFAULT_KNOBS", "SCENARIO_FAMILIES",
            "default_params", "build_decoder_config", "TuneResult",
@@ -207,11 +208,6 @@ class TuneResult:
         }
 
 
-def _decoder_seed(base: int, spec_index: int) -> int:
-    return int(np.random.SeedSequence(
-        entropy=base, spawn_key=(spec_index,)).generate_state(1)[0])
-
-
 class _Evaluator:
     """Scores knob assignments on a family, batched and cached."""
 
@@ -246,7 +242,7 @@ class _Evaluator:
                     config = build_decoder_config(params, rates,
                                                   self.profile)
                     trials.append(TrialSpec(
-                        seed=_decoder_seed(self.seed, spec_index),
+                        seed=key_seed(self.seed, spec_index),
                         payload={"spec": spec,
                                  "profile": self.profile,
                                  "decoder_config": config}))

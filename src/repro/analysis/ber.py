@@ -33,7 +33,7 @@ from ..core.anchor import assemble_bits
 from ..core.edges import EdgeDetector, EdgeDetectorConfig
 from ..errors import ConfigurationError, DecodeError
 from ..types import IQTrace, SimulationProfile
-from ..utils.rng import SeedLike, make_rng
+from ..utils.rng import key_seed
 from ..utils.stats import ber_from_bits
 
 
@@ -52,10 +52,9 @@ def _single_tag_capture(snr_db: float, n_bits: int,
                         rng: np.random.Generator):
     """One epoch of a lone ASK tag at the requested raw-sample SNR.
 
-    Rendered through the unified scenario factory (pinned coefficient
-    skips the draw; the per-tag and noise generators consume ``rng``
-    in the canonical order, matching the pre-factory construction bit
-    for bit).
+    Rendered through the unified scenario factory: the pinned
+    coefficient skips the coefficient draw, and the tag's and the
+    noise generators are drawn from ``rng`` in the canonical order.
     """
     from ..experiments.scenario import ScenarioSpec, ScenarioSynth
     spec = ScenarioSpec(
@@ -131,18 +130,14 @@ def decode_against_truth(capture, decoder: str) -> Dict[str, int]:
 def ber_trial(trace, payload, rng, config) -> Dict[str, int]:
     """Engine-dispatched single-tag BER trial.
 
-    The capture's entropy is fully pinned inside the payload's spec
-    (coefficient + population seeds), so the trial is reproducible in
-    any worker; ``rng`` is unused (genie decodes draw no randomness).
+    The capture renders from the payload's own ``seed``, so every
+    decoder swept with the same seeds scores the same captures; ``rng``
+    is unused (genie decodes draw no randomness).
     """
-    from ..experiments.scenario import ScenarioSynth
-    profile = payload["profile"]
-    synth = ScenarioSynth(payload["spec"], profile=profile)
-    header = synth.tags[0].header_bits()
-    duration = (payload["n_bits"] + header + 4) \
-        / profile.default_bitrate_bps
-    return decode_against_truth(synth.capture(duration),
-                                payload["decoder"])
+    capture = _single_tag_capture(
+        payload["snr_db"], payload["n_bits"], payload["profile"],
+        payload["coefficient"], np.random.default_rng(payload["seed"]))
+    return decode_against_truth(capture, payload["decoder"])
 
 
 def ber_sweep(snr_db_values: Sequence[float],
@@ -152,7 +147,7 @@ def ber_sweep(snr_db_values: Sequence[float],
               profile: Optional[SimulationProfile] = None,
               coefficient: complex = 0.1 + 0.04j,
               decision_domain: bool = True,
-              rng: SeedLike = None,
+              seed: int = 0,
               runner=None) -> List[BerPoint]:
     """Measure BER at each SNR for one decoding scheme.
 
@@ -162,11 +157,11 @@ def ber_sweep(snr_db_values: Sequence[float],
     integration: the raw-sample SNR of the capture is lowered by the
     full-bit averaging gain ``10*log10(samples_per_bit)``.
 
-    Trials execute through the batch engine: each (SNR, trial) cell's
-    capture entropy is pre-drawn from ``rng`` in the legacy serial
-    order and pinned into a self-contained scenario spec, so results
-    are identical to the old in-process loop for any worker count.
-    Pass a :class:`~repro.experiments.sweep.SweepRunner` built over
+    Trials execute through the batch engine: trial ``t`` at the
+    ``i``-th SNR renders its capture from ``key_seed(seed, i, t)``, so
+    results are identical for any worker count, and the two decoders,
+    swept with one ``seed``, score the same captures.  Pass a
+    :class:`~repro.experiments.sweep.SweepRunner` built over
     :func:`ber_trial` as ``runner`` to share one engine across sweeps.
     """
     if decoder not in ("lf", "ask"):
@@ -175,30 +170,19 @@ def ber_sweep(snr_db_values: Sequence[float],
     if n_bits < 10:
         raise ConfigurationError("need at least 10 bits per trial")
     from ..core.engine import TrialSpec
-    from ..experiments.scenario import ScenarioSpec
     from ..experiments.sweep import SweepGrid, SweepRunner, results_of
     prof = profile or SimulationProfile.fast()
-    gen = make_rng(rng)
     gain_db = 10.0 * math.log10(prof.samples_per_bit()) \
         if decision_domain else 0.0
 
     grid = SweepGrid()
-    start_offset = 2.0 / prof.default_bitrate_bps
-    for snr_db in snr_db_values:
-        raw_snr = snr_db - gain_db
-        trials = []
-        for _ in range(n_trials):
-            tag_seed = int(gen.integers(0, 2 ** 63))
-            sim_seed = int(gen.integers(0, 2 ** 63))
-            spec = ScenarioSpec(
-                name="ber_single_tag", n_tags=1, tag_kind="ask",
-                coefficients=(coefficient,), snr_db=raw_snr,
-                start_offset_s=start_offset,
-                population_seeds=(tag_seed, sim_seed))
-            trials.append(TrialSpec(payload={
-                "spec": spec, "profile": prof, "decoder": decoder,
-                "n_bits": n_bits}))
-        grid.add_cell({"snr_db": float(snr_db)}, trials)
+    for i, snr_db in enumerate(snr_db_values):
+        grid.add_cell({"snr_db": float(snr_db)}, [
+            TrialSpec(payload={
+                "snr_db": snr_db - gain_db, "n_bits": n_bits,
+                "profile": prof, "coefficient": coefficient,
+                "seed": key_seed(seed, i, t), "decoder": decoder})
+            for t in range(n_trials)])
 
     def _fold(cell, outcomes):
         results = results_of(outcomes)

@@ -10,18 +10,18 @@ Two sweep families, both dispatched through the sweep layer:
   SNR × tag-count × drift grid, the link-margin map a deployment
   actually cares about ("how many tags at what SNR with what crystal").
 
-Cell seeds derive from ``SeedSequence(base_seed, cell coordinates)``,
-so adding an axis value never reshuffles the other cells' captures.
+Every capture and decoder seed is a :func:`~repro.utils.rng.key_seed`
+of the sweep's root and the cell's coordinates, so a cell's draws
+never depend on which other cells the grid holds.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..types import SimulationProfile
+from ..utils.rng import key_seed
 
 __all__ = ["ber_waterfall", "capacity_surface"]
 
@@ -46,7 +46,7 @@ def ber_waterfall(snr_db_values: Sequence[float],
     for decoder in ("lf", "ask"):
         curves[decoder] = ber_sweep(
             snr_db_values, decoder=decoder, n_bits=n_bits,
-            n_trials=n_trials, profile=prof, rng=seed, runner=runner)
+            n_trials=n_trials, profile=prof, seed=seed, runner=runner)
     rows = []
     for lf_point, ask_point in zip(curves["lf"], curves["ask"]):
         rows.append({
@@ -60,13 +60,6 @@ def ber_waterfall(snr_db_values: Sequence[float],
     except ConfigurationError:
         gap = None
     return {"rows": rows, "snr_gap_db": gap}
-
-
-def _cell_seed(base: int, *coords: int) -> int:
-    """Deterministic, order-stable seed for one grid cell."""
-    state = np.random.SeedSequence(
-        entropy=base, spawn_key=tuple(coords)).generate_state(1)[0]
-    return int(state)
 
 
 def capacity_surface(snr_db_values: Sequence[float],
@@ -110,9 +103,9 @@ def capacity_surface(snr_db_values: Sequence[float],
                         n_tags=int(n_tags), bitrate_bps=rate,
                         snr_db=float(snr_db), drift_ppm=float(drift),
                         epoch_s=epoch_s,
-                        seed=_cell_seed(seed, i, j, k, t))
+                        seed=key_seed(seed, i, j, k, t))
                     trials.append(TrialSpec(
-                        seed=_cell_seed(spec.seed, 977),
+                        seed=key_seed(spec.seed, 977),
                         payload={"spec": spec, "profile": prof,
                                  "decoder_config": config,
                                  "duration": epoch_s,

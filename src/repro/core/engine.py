@@ -15,8 +15,9 @@ child) while keeping four guarantees:
 * **Ordered streaming** — :meth:`BatchDecoder.iter_decode` yields epoch
   results in submission order as soon as each becomes available, so a
   consumer can post-process epoch *i* while epoch *i+1* is still
-  decoding.  Input is pulled only when a child is free to take it, so
-  an unbounded input stream never piles up in the engine.
+  decoding.  Input is pulled only when a child is free to take it and
+  fewer than two tasks per worker wait to be yielded, so an unbounded
+  input stream never piles up in the engine, even behind a slow task.
 * **One outcome per input** — the supervisor guarantees forward
   progress no matter what a task does to its child.  A task that
   raises is retried with exponential backoff up to ``max_attempts``.
@@ -39,9 +40,9 @@ config)`` replaces the stock epoch decode.  Experiment sweeps use this
 to push their per-trial work (decode + score, reliability-link runs,
 config-variant decodes) through one engine instead of bespoke serial
 loops, with the same ordered streaming, retry/hang/crash supervision
-and per-worker-count determinism.  An explicit ``seed`` reproduces a
-legacy ``np.random.default_rng(seed)`` stream bit for bit, which is
-how refit experiments keep row parity with their serial ancestors.
+and per-worker-count determinism.  An explicit ``seed`` is handed to
+``np.random.default_rng`` as is, so trials that carry the same seed
+draw the same stream (a sweep's decoder variants scoring one capture).
 
 Children start lazily, at the first dispatch that needs one, never
 more than ``max_workers`` or the number of tasks in flight.  Each is a
@@ -105,9 +106,8 @@ def _run_task(trial_fn: Callable, trace: Optional[IQTrace],
               payload: Any, seed, config: LFDecoderConfig) -> Any:
     """Run one trial.
 
-    ``seed`` is either an explicit integer (legacy serial loops seeded
-    ``default_rng(int)``; passing the raw int through reproduces that
-    stream exactly) or an engine-spawned :class:`SeedSequence`.  The
+    ``seed`` is the trial's explicit seed (an integer or a
+    :class:`SeedSequence`) or an engine-spawned :class:`SeedSequence`.  The
     trial function must return *derived* data only — under the ring
     transport the trace is a view of a frame the parent reuses once the
     result arrives.
@@ -153,14 +153,15 @@ class TrialSpec:
     trials that synthesize their own data (or none) leave it ``None``.
     ``payload`` is any picklable context the trial function needs
     (scenario spec, config variant, trial index).  ``seed``, when set,
-    is handed verbatim to ``np.random.default_rng`` — the exact-parity
-    hook for refit serial loops; when ``None`` the engine assigns the
-    task's spawned child :class:`SeedSequence`.
+    is handed verbatim to ``np.random.default_rng`` (an integer or a
+    :class:`SeedSequence`), so trials that share one see the same
+    stream; when ``None`` the engine assigns the task's spawned child
+    :class:`SeedSequence`.
     """
 
     trace: Optional[IQTrace] = None
     payload: Any = None
-    seed: Optional[int] = None
+    seed: Any = None
 
 
 @dataclass
@@ -246,7 +247,7 @@ class _Task:
 
     index: int
     trace: Optional[IQTrace]
-    #: Explicit int seed (trial parity) or engine-spawned SeedSequence.
+    #: The trial's explicit seed or an engine-spawned SeedSequence.
     seed_seq: Any
     #: Opaque trial context (the input index for stock epoch decodes).
     payload: Any = None
@@ -370,8 +371,10 @@ class BatchDecoder:
         earlier epoch has been yielded, so downstream consumers see a
         deterministic sequence regardless of completion order.  The
         input may be an arbitrary (even unbounded) iterable: tasks are
-        submitted through a sliding window of about two per worker, so
-        memory stays proportional to the worker count, not the batch.
+        submitted through a sliding window of two per worker (no new
+        input is pulled while that many wait to be yielded, however
+        long the oldest takes), so memory stays proportional to the
+        worker count, not the batch.
 
         An epoch whose task ultimately *failed* (exhausted retries,
         quarantined after repeated child losses) still yields: an empty
@@ -478,16 +481,20 @@ class BatchDecoder:
         pending: Deque[_Task] = deque()   # input order, until yielded
         redo: Deque[_Task] = deque()      # unsettled, awaiting a child
         busy: Dict[SupervisedChild, _Task] = {}
+        window = 2 * self.max_workers     # most tasks awaiting a yield
         exhausted = False
         try:
             while True:
                 # Hand work to every free (or not yet started) child:
-                # redispatches first, then fresh input.
+                # redispatches first, then fresh input while the
+                # window has room.
                 while len(busy) < self.max_workers:
                     if redo:
                         task = redo.popleft()
+                    elif exhausted or len(pending) >= window:
+                        break
                     else:
-                        task = None if exhausted else next(task_iter, None)
+                        task = next(task_iter, None)
                         if task is None:
                             exhausted = True
                             break
@@ -506,7 +513,11 @@ class BatchDecoder:
                 while pending and pending[0].settled:
                     yield self._outcome_of(pending.popleft())
                 if not busy:
-                    break
+                    # Nothing is in flight, so every pulled task has
+                    # been yielded: end only once the input has too.
+                    if exhausted:
+                        break
+                    continue
                 for child in wait_ready(list(busy)):
                     task = busy.pop(child)
                     try:

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from ..core.engine import TrialSpec
 from ..types import SimulationProfile
-from ..utils.rng import SeedLike, make_rng
 from .common import ExperimentResult
 from .sweep import SweepGrid, SweepRunner, results_of
 
@@ -24,23 +21,22 @@ def analog_trial(trace, payload: Dict[str, Any], rng,
                  config) -> Dict[str, int]:
     """One capture decoded with and without the analog fold.
 
-    ``rng`` (the engine's ``default_rng(seed)``) renders the capture;
-    the decoders re-derive their legacy generators from the raw seed in
-    the payload (``seed + 1``, one fresh generator per variant).
+    ``rng`` renders the capture, then draws the one decoder seed both
+    variants start from, so the variants differ only in the fold.
     """
     from ..analysis.ber import _single_tag_capture
     from ..core.pipeline import LFDecoder, LFDecoderConfig
     prof = payload["profile"]
     capture = _single_tag_capture(
         payload["snr_db"], payload["n_bits"], prof, 0.1 + 0.04j, rng)
+    decoder_seed = int(rng.integers(0, 2 ** 63))
     truth = capture.truths[0]
     hits = {}
     for fallback in (True, False):
         decoder = LFDecoder(LFDecoderConfig(
             candidate_bitrates_bps=[prof.default_bitrate_bps],
             profile=prof, min_header_score=0.6,
-            enable_analog_fallback=fallback),
-            rng=np.random.default_rng(payload["seed"] + 1))
+            enable_analog_fallback=fallback), rng=decoder_seed)
         result = decoder.decode_epoch(capture.trace)
         hit = any(abs(s.offset_samples - truth.offset_samples) < 30
                   for s in result.streams)
@@ -52,7 +48,7 @@ def run(snr_db_values: Optional[List[float]] = None,
         n_trials: int = 6,
         n_bits: int = 150,
         profile: Optional[SimulationProfile] = None,
-        rng: SeedLike = 44,
+        seed: int = 44,
         quick: bool = False) -> ExperimentResult:
     """Acquisition probability with and without the analog fold."""
     snrs = snr_db_values or [-2.0, 0.0, 2.0, 4.0, 6.0, 10.0]
@@ -60,20 +56,16 @@ def run(snr_db_values: Optional[List[float]] = None,
         snrs = [0.0, 4.0, 10.0]
         n_trials = 3
     prof = profile or SimulationProfile.fast()
-    gen = make_rng(rng)
 
-    # Trial seeds pre-drawn in the legacy snr-then-trial order; each
-    # engine trial renders the capture from its seed and runs both
-    # decoder variants against it.
+    # The runner seeds each (snr, trial) from ``seed`` and its position;
+    # each engine trial renders its capture and runs both decoder
+    # variants against it.
     grid = SweepGrid()
     for snr in snrs:
-        trials = []
-        for _ in range(n_trials):
-            seed = int(gen.integers(0, 2 ** 31))
-            trials.append(TrialSpec(seed=seed, payload={
-                "snr_db": snr, "n_bits": n_bits, "profile": prof,
-                "seed": seed}))
-        grid.add_cell({"snr_db": snr}, trials)
+        grid.add_cell({"snr_db": snr}, [
+            TrialSpec(payload={"snr_db": snr, "n_bits": n_bits,
+                               "profile": prof})
+            for _ in range(n_trials)])
 
     def _fold(cell, outcomes):
         results = results_of(outcomes)
@@ -85,7 +77,7 @@ def run(snr_db_values: Optional[List[float]] = None,
                 sum(r["without"] for r in results) / n_trials,
         }
 
-    rows = SweepRunner(analog_trial).run(grid, _fold)
+    rows = SweepRunner(analog_trial, seed=seed).run(grid, _fold)
     return ExperimentResult(
         experiment_id="ablation_analog",
         description="Single-tag stream acquisition vs SNR, with/"

@@ -13,9 +13,8 @@ from typing import List, Optional
 
 from ..core.engine import TrialSpec
 from ..core.pipeline import LFDecoderConfig
-from ..phy.channel import random_coefficients
 from ..types import SimulationProfile
-from ..utils.rng import SeedLike, make_rng
+from ..utils.rng import key_seed
 from .common import ExperimentResult
 from .scenario import ScenarioSpec
 from .sweep import SweepGrid, SweepRunner, results_of
@@ -27,7 +26,7 @@ def run(drift_values_ppm: Optional[List[float]] = None,
         n_epochs: int = 3,
         epoch_duration_s: float = 0.012,
         profile: Optional[SimulationProfile] = None,
-        rng: SeedLike = 41,
+        seed: int = 41,
         quick: bool = False) -> ExperimentResult:
     """Measure goodput across crystal drift magnitudes."""
     drifts = drift_values_ppm or [0.0, 200.0, 1000.0, 4000.0,
@@ -37,29 +36,22 @@ def run(drift_values_ppm: Optional[List[float]] = None,
         n_epochs = 2
     prof = profile or SimulationProfile.fast()
     rate = prof.default_bitrate_bps
-    gen = make_rng(rng)
+    config = LFDecoderConfig(candidate_bitrates_bps=[rate], profile=prof)
 
-    # Each (drift, epoch) trial's entropy — coefficients, per-tag and
-    # simulator seeds, decoder seed — is pre-drawn in the legacy serial
-    # order and pinned into a self-contained spec.
+    # Each (drift, epoch) trial renders a fresh population seeded
+    # ``key_seed(seed, i, epoch)``; the runner seeds its decoder from
+    # ``seed`` and the same position.
     grid = SweepGrid()
-    for drift in drifts:
-        trials = []
-        for epoch in range(n_epochs):
-            coeffs = random_coefficients(n_tags, rng=gen)
-            seeds = tuple(int(gen.integers(0, 2 ** 63))
-                          for _ in range(n_tags + 1))
-            decoder_seed = int(gen.integers(0, 2 ** 63))
-            spec = ScenarioSpec(
-                name="ablation_drift", n_tags=n_tags,
-                bitrate_bps=rate, drift_ppm=drift,
-                coefficients=tuple(coeffs), population_seeds=seeds)
-            trials.append(TrialSpec(seed=decoder_seed, payload={
-                "spec": spec, "profile": prof,
-                "decoder_config": LFDecoderConfig(
-                    candidate_bitrates_bps=[rate], profile=prof),
-                "duration": epoch_duration_s, "epoch_index": epoch}))
-        grid.add_cell({"drift_ppm": drift}, trials)
+    for i, drift in enumerate(drifts):
+        grid.add_cell({"drift_ppm": drift}, [
+            TrialSpec(payload={
+                "spec": ScenarioSpec(
+                    name="ablation_drift", n_tags=n_tags,
+                    bitrate_bps=rate, drift_ppm=drift,
+                    seed=key_seed(seed, i, epoch)),
+                "profile": prof, "decoder_config": config,
+                "duration": epoch_duration_s, "epoch_index": epoch})
+            for epoch in range(n_epochs)])
 
     def _fold(cell, outcomes):
         results = results_of(outcomes)
@@ -68,7 +60,8 @@ def run(drift_values_ppm: Optional[List[float]] = None,
         return {"drift_ppm": cell.coords["drift_ppm"],
                 "goodput_fraction": correct / sent if sent else 0.0}
 
-    rows = SweepRunner(scenario_decode_trial).run(grid, _fold)
+    rows = SweepRunner(scenario_decode_trial, seed=seed).run(grid,
+                                                             _fold)
     return ExperimentResult(
         experiment_id="ablation_drift",
         description="Decoder goodput vs tag clock drift",

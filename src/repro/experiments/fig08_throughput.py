@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from ..baselines.buzz import BuzzConfig, BuzzSimulator
 from ..baselines.tdma import TdmaConfig, TdmaSimulator
 from ..core.engine import TrialSpec
 from ..phy.channel import ChannelModel, random_coefficients
 from ..types import SimulationProfile
-from ..utils.rng import SeedLike, make_rng
 from .common import ExperimentResult
 from .sweep import SweepGrid, SweepRunner, results_of
 from .trials import lf_epochs_trial
@@ -30,15 +31,14 @@ def run(tag_counts: Optional[List[int]] = None,
         n_epochs: int = 4,
         epoch_duration_s: float = 0.012,
         profile: Optional[SimulationProfile] = None,
-        rng: SeedLike = 2015,
+        seed: int = 2015,
         quick: bool = False) -> ExperimentResult:
     """Measure the Figure 8 sweep.
 
     The measured LF runs dispatch through the sweep layer (one
-    engine-supervised trial per tag count, seeded exactly as the old
-    serial ``lf_throughput_sweep`` loop drew them); the TDMA and Buzz
-    columns stay in-process — they are analytic protocol models, not
-    decodes.
+    engine-supervised trial per tag count, seeded by the runner from
+    ``seed`` and the tag count's position); the TDMA and Buzz columns
+    stay in-process — they are analytic protocol models, not decodes.
     """
     counts = tag_counts or [4, 8, 12, 16]
     if quick:
@@ -46,20 +46,17 @@ def run(tag_counts: Optional[List[int]] = None,
         n_epochs = 2
     prof = profile or SimulationProfile.fast()
     rate = prof.default_bitrate_bps
-    gen = make_rng(rng)
 
-    # Pre-draw each count's run seed in the legacy order (the sweep
-    # consumed one child draw per count before TDMA/Buzz touched gen).
     grid = SweepGrid()
     for n in counts:
-        seed = int(gen.integers(0, 2 ** 63))
-        grid.add_cell({"n_tags": n}, TrialSpec(seed=seed, payload={
+        grid.add_cell({"n_tags": n}, TrialSpec(payload={
             "n_tags": n, "rate": rate, "n_epochs": n_epochs,
             "duration": epoch_duration_s, "profile": prof}))
-    lf_rows = SweepRunner(lf_epochs_trial).run(
+    lf_rows = SweepRunner(lf_epochs_trial, seed=seed).run(
         grid, lambda cell, outs: {**cell.coords,
                                   **results_of(outs)[0]})
     lf_runs = {row["n_tags"]: row for row in lf_rows}
+    gen = np.random.default_rng(seed)
     tdma = TdmaSimulator(TdmaConfig(bitrate_bps=rate), rng=gen)
 
     rows = []

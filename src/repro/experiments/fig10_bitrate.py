@@ -16,7 +16,7 @@ from typing import List, Optional
 from ..core.engine import TrialSpec
 from ..core.pipeline import LFDecoderConfig
 from ..types import SimulationProfile
-from ..utils.rng import SeedLike, make_rng
+from ..utils.rng import key_seed
 from .common import ExperimentResult
 from .sweep import SweepGrid, SweepRunner, results_of
 from .trials import lf_epochs_trial
@@ -32,7 +32,7 @@ def run(n_tags: int = 16,
         rate_fractions: Optional[List[float]] = None,
         n_epochs: int = 2,
         profile: Optional[SimulationProfile] = None,
-        rng: SeedLike = 1010,
+        seed: int = 1010,
         quick: bool = False) -> ExperimentResult:
     """Sweep per-tag bitrate as fractions of the profile default.
 
@@ -45,24 +45,22 @@ def run(n_tags: int = 16,
         fractions = [0.5, 1.0, 2.5]
         n_tags = min(n_tags, 8)
     prof = profile or SimulationProfile.fast()
-    gen = make_rng(rng)
 
     # One cell per rate fraction; its three decoder-variant trials
-    # share the cell seed (identical captures, ablated configs) and
+    # share the cell's seed (identical captures, ablated configs) and
     # dispatch through the engine.
     grid = SweepGrid()
-    for fraction in fractions:
+    for i, fraction in enumerate(fractions):
         rate = prof.default_bitrate_bps * fraction
         prof.validate_bitrate(rate)
         # Keep the per-epoch bit budget roughly constant across rates.
         duration = 130.0 / rate
-        seed = int(gen.integers(0, 2 ** 31))
         trials = []
         for name, iq, ec in VARIANTS:
             config = LFDecoderConfig(
                 candidate_bitrates_bps=[rate], profile=prof,
                 enable_iq_separation=iq, enable_error_correction=ec)
-            trials.append(TrialSpec(seed=seed, payload={
+            trials.append(TrialSpec(seed=key_seed(seed, i), payload={
                 "n_tags": n_tags, "rate": rate, "n_epochs": n_epochs,
                 "duration": duration, "profile": prof,
                 "decoder_config": config}))

@@ -16,9 +16,8 @@ from typing import List, Optional
 
 from ..core.engine import TrialSpec
 from ..core.pipeline import LFDecoderConfig
-from ..phy.channel import random_coefficients
 from ..types import SimulationProfile
-from ..utils.rng import SeedLike, make_rng
+from ..utils.rng import key_seed
 from .common import ExperimentResult
 from .scenario import ScenarioSpec
 from .sweep import SweepGrid, SweepRunner, results_of
@@ -27,9 +26,8 @@ from .sweep import SweepGrid, SweepRunner, results_of
 def pair_trial(trace, payload, rng, config) -> List[dict]:
     """Engine-dispatched slow+fast pair: render, decode, score both.
 
-    The pair's capture is fully pinned in the payload's spec
-    (coefficients + population seeds); ``rng`` seeds the decoder, with
-    the exact generator the legacy serial loop drew for it.
+    The pair's capture is fully pinned in the payload's spec (its
+    seed); ``rng`` seeds the decoder.
     """
     from ..analysis.throughput import match_streams
     from ..core.pipeline import LFDecoder
@@ -58,41 +56,37 @@ def pair_trial(trace, payload, rng, config) -> List[dict]:
 
 def run(rate_fractions: Optional[List[float]] = None,
         profile: Optional[SimulationProfile] = None,
-        rng: SeedLike = 1111,
+        seed: int = 1111,
         quick: bool = False) -> ExperimentResult:
-    """Run one slow+fast pair per rate fraction; score each node."""
+    """Run one slow+fast pair per rate fraction; score each node.
+
+    The ``i``-th pair's capture is seeded ``key_seed(seed, i)``; the
+    runner seeds its decoder from ``seed`` and the pair's position.
+    """
     fractions = rate_fractions or [0.005, 0.01, 0.02, 0.05, 0.1,
                                    0.5, 1.0]
     if quick:
         fractions = [0.02, 0.1, 0.5]
     prof = profile or SimulationProfile.fast()
-    gen = make_rng(rng)
 
-    # Pre-draw each pair's entropy in the legacy serial order
-    # (coefficients, two tag seeds, sim seed, decoder seed) and pin it
-    # into a self-contained spec per sweep cell.
     grid = SweepGrid()
-    for fraction in fractions:
+    for i, fraction in enumerate(fractions):
         slow_rate = prof.default_bitrate_bps * fraction
         prof.validate_bitrate(slow_rate)
-        coeffs = random_coefficients(2, min_separation=0.03, rng=gen)
-        seeds = tuple(int(gen.integers(0, 2 ** 63)) for _ in range(3))
-        decoder_seed = int(gen.integers(0, 2 ** 63))
         spec = ScenarioSpec(
             name="fig11_pair", n_tags=2,
             bitrates_bps=(slow_rate, prof.default_bitrate_bps),
-            coefficients=tuple(coeffs), population_seeds=seeds)
+            min_separation=0.03, seed=key_seed(seed, i))
         config = LFDecoderConfig(
             candidate_bitrates_bps=sorted(
                 {slow_rate, prof.default_bitrate_bps}),
             profile=prof)
         grid.add_cell(
             {"fraction": fraction},
-            TrialSpec(seed=decoder_seed,
-                      payload={"spec": spec, "profile": prof,
+            TrialSpec(payload={"spec": spec, "profile": prof,
                                "decoder_config": config}))
 
-    pair_rows_by_cell = SweepRunner(pair_trial).run(
+    pair_rows_by_cell = SweepRunner(pair_trial, seed=seed).run(
         grid, lambda cell, outs: {"pair_rows": results_of(outs)[0]})
 
     rows = []

@@ -1,7 +1,7 @@
 """Figure 14: SNR vs BER, LF-Backscatter edge decoding vs plain ASK.
 
 A lone tag is captured across a range of receiver SNRs; both decoders
-run on statistically identical captures.  The expected shape: ASK's
+score the same captures.  The expected shape: ASK's
 whole-bit integration needs several dB less SNR for the same BER, the
 gap is roughly constant through the waterfall region, and both schemes
 reach zero measured errors by the mid-teens of dB.
@@ -14,7 +14,6 @@ from typing import List, Optional
 from ..analysis.ber import ber_sweep, snr_gap_db
 from ..errors import ConfigurationError
 from ..types import SimulationProfile
-from ..utils.rng import SeedLike, make_rng
 from .common import ExperimentResult
 
 
@@ -22,7 +21,7 @@ def run(snr_db_values: Optional[List[float]] = None,
         n_bits: int = 300,
         n_trials: int = 3,
         profile: Optional[SimulationProfile] = None,
-        rng: SeedLike = 1414,
+        seed: int = 1414,
         quick: bool = False) -> ExperimentResult:
     """Measure both BER curves and the SNR gap between them."""
     snrs = snr_db_values or [3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 15.0]
@@ -31,11 +30,10 @@ def run(snr_db_values: Optional[List[float]] = None,
         n_bits = 150
         n_trials = 2
     prof = profile or SimulationProfile.fast()
-    gen = make_rng(rng)
     lf_points = ber_sweep(snrs, decoder="lf", n_bits=n_bits,
-                          n_trials=n_trials, profile=prof, rng=gen)
+                          n_trials=n_trials, profile=prof, seed=seed)
     ask_points = ber_sweep(snrs, decoder="ask", n_bits=n_bits,
-                           n_trials=n_trials, profile=prof, rng=gen)
+                           n_trials=n_trials, profile=prof, seed=seed)
     rows = []
     for lf_p, ask_p in zip(lf_points, ask_points):
         rows.append({

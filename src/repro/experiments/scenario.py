@@ -24,17 +24,14 @@ epochs (offset re-randomization, payload bits), so consecutive
 exactly the way a long-lived :class:`NetworkSimulator` would.
 Single-shot consumers use :func:`build_capture`.
 
-Draw order (the compatibility contract every consumer relies on):
+Draw order (the compatibility contract every consumer relies on, and
+pinned by ``tests/experiments/test_scenario_draw_order.py``):
 
 1. coefficients — one ``random_coefficients`` draw, unless the spec
    pins them explicitly;
 2. one ``integers(0, 2**63)`` draw per tag, seeding that tag's
    generator;
-3. one ``integers(0, 2**63)`` draw for the simulator's noise generator
-   — or, with ``spawn_sim_rng=False``, the scenario generator itself
-   is handed to the simulator (the benchmark-fixture convention, whose
-   captures predate this module and are pinned by committed
-   baselines).
+3. one ``integers(0, 2**63)`` draw for the simulator's noise generator.
 
 Impairments apply through the truth-preserving
 :func:`repro.robustness.impairments.impair_capture`, seeded by the
@@ -115,21 +112,10 @@ class ScenarioSpec:
     start_offset_s: Optional[float] = None
     #: Pin coefficients instead of drawing them (skips draw step 1).
     coefficients: Optional[Tuple[complex, ...]] = None
-    #: Pin the population entropy instead of drawing it (skips draw
-    #: steps 2-3): one integer seed per tag, plus one trailing seed
-    #: for the simulator when ``spawn_sim_rng`` is set.  Sweep cells
-    #: use this to reproduce legacy shared-generator draw orders in
-    #: engine workers — the parent pre-draws the integers in the
-    #: canonical order and ships a fully self-contained spec.
-    population_seeds: Optional[Tuple[int, ...]] = None
     #: Minimum pairwise coefficient separation for the draw (``None``
     #: uses :func:`random_coefficients`'s default).
     min_separation: Optional[float] = None
     environment_offset: complex = 0.5 + 0.3j
-    #: ``True`` (default): the simulator gets its own child generator.
-    #: ``False``: it shares the scenario generator — the
-    #: benchmark-fixture convention, kept for its pinned baselines.
-    spawn_sim_rng: bool = True
     #: Impairment randomness seed (``None``: reuse ``seed``).
     impairment_seed: Optional[int] = None
     #: Pin the simulation profile by name (``fast`` / ``paper``);
@@ -159,14 +145,6 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"coefficients has {len(self.coefficients)} entries "
                 f"for {self.n_tags} tags")
-        if self.population_seeds is not None:
-            want = self.n_tags + (1 if self.spawn_sim_rng else 0)
-            if len(self.population_seeds) != want:
-                raise ConfigurationError(
-                    f"population_seeds needs {want} entries "
-                    f"({self.n_tags} tags"
-                    + (" + simulator" if self.spawn_sim_rng else "")
-                    + f"), got {len(self.population_seeds)}")
         if self.profile_name is not None \
                 and self.profile_name not in _PROFILES:
             raise ConfigurationError(
@@ -239,26 +217,15 @@ class ScenarioSynth:
         self.channel = ChannelModel(
             {base + k: coeffs[k] for k in range(spec.n_tags)},
             environment_offset=spec.environment_offset)
-        if spec.population_seeds is not None:
-            tag_seeds = list(spec.population_seeds[:spec.n_tags])
-            self.tags = [self._make_tag(base + k, rates[k], coeffs[k],
-                                        np.random.default_rng(
-                                            tag_seeds[k]))
-                         for k in range(spec.n_tags)]
-            sim_rng = np.random.default_rng(
-                spec.population_seeds[spec.n_tags]) \
-                if spec.spawn_sim_rng else gen
-        else:
-            self.tags = [self._make_tag(base + k, rates[k], coeffs[k],
-                                        np.random.default_rng(
-                                            gen.integers(0, 2 ** 63)))
-                         for k in range(spec.n_tags)]
-            sim_rng = np.random.default_rng(gen.integers(0, 2 ** 63)) \
-                if spec.spawn_sim_rng else gen
+        self.tags = [self._make_tag(base + k, rates[k], coeffs[k],
+                                    np.random.default_rng(
+                                        gen.integers(0, 2 ** 63)))
+                     for k in range(spec.n_tags)]
         self.sim = NetworkSimulator(self.tags, self.channel,
                                     profile=self.profile,
                                     noise_std=self.noise_std,
-                                    rng=sim_rng)
+                                    rng=np.random.default_rng(
+                                        gen.integers(0, 2 ** 63)))
 
     def _make_tag(self, tag_id: int, rate: float, coeff: complex,
                   rng: np.random.Generator):

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..core.engine import TrialSpec
 from ..types import SimulationProfile
-from ..utils.rng import SeedLike, make_rng
 from .common import ExperimentResult
 from .sweep import SweepGrid, SweepRunner, results_of
 
@@ -41,7 +40,7 @@ def run(tag_counts: Optional[List[int]] = None,
         message_bits: int = 48,
         n_trials: int = 3,
         profile: Optional[SimulationProfile] = None,
-        rng: SeedLike = 36,
+        seed: int = 36,
         quick: bool = False) -> ExperimentResult:
     """Measure epochs-to-complete-delivery across network sizes."""
     counts = tag_counts or [2, 4, 8, 12]
@@ -49,14 +48,12 @@ def run(tag_counts: Optional[List[int]] = None,
         counts = [2, 4]
         n_trials = 2
     prof = profile or SimulationProfile.fast()
-    gen = make_rng(rng)
 
-    # Each trial's seed is pre-drawn in the legacy per-count order so
-    # engine dispatch reproduces the serial loop's generators exactly.
+    # The runner seeds each transfer from ``seed`` and its (count,
+    # trial) position.
     grid = SweepGrid()
     for n in counts:
-        trials = [TrialSpec(seed=int(gen.integers(0, 2 ** 63)),
-                            payload={"n_tags": n,
+        trials = [TrialSpec(payload={"n_tags": n,
                                      "message_bits": message_bits,
                                      "profile": prof})
                   for _ in range(n_trials)]
@@ -74,7 +71,7 @@ def run(tag_counts: Optional[List[int]] = None,
                 [r["first_epoch_delivery"] for r in results])),
         }
 
-    rows = SweepRunner(reliability_trial).run(grid, _fold)
+    rows = SweepRunner(reliability_trial, seed=seed).run(grid, _fold)
     return ExperimentResult(
         experiment_id="sec36",
         description="Broadcast-ACK reliable transfer: epochs to full "

@@ -17,13 +17,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from ..analysis.collision_prob import collision_probability_at_least
-from ..analysis.throughput import run_lf_epochs
 from ..core.engine import TrialSpec
 from ..types import SimulationProfile
-from ..utils.rng import SeedLike, make_rng
 from .common import ExperimentResult
 from .sweep import SweepGrid, SweepRunner, results_of
 from .trials import lf_epochs_trial
@@ -52,7 +48,7 @@ def run(rate_fractions: Optional[List[float]] = None,
         empirical_n_tags: int = 32,
         empirical_fraction: float = 0.1,
         profile: Optional[SimulationProfile] = None,
-        rng: SeedLike = 52,
+        seed: int = 52,
         quick: bool = False) -> ExperimentResult:
     """Tabulate supportable tag counts; spot-check one large network."""
     fractions = rate_fractions or [1.0, 0.5, 0.2, 0.1]
@@ -73,30 +69,20 @@ def run(rate_fractions: Optional[List[float]] = None,
                 max_tags_for_collision_budget(spb),
         })
 
-    # Empirical spot check at the reduced rate.  Integer seeds pass
-    # straight through the engine (a worker's ``default_rng(seed)`` is
-    # the legacy ``make_rng(seed)`` generator); an explicit generator
-    # cannot cross a process boundary, so it runs in-process.
+    # Empirical spot check at the reduced rate, one engine trial the
+    # runner seeds from ``seed``.
     rate = prof.default_bitrate_bps * empirical_fraction
     prof.validate_bitrate(rate)
     duration = 120.0 / rate
-    if rng is None or isinstance(rng, (int, np.integer)):
-        grid = SweepGrid()
-        grid.add_cell(
-            {"rate_x": empirical_fraction},
-            TrialSpec(seed=None if rng is None else int(rng),
-                      payload={"n_tags": empirical_n_tags,
-                               "rate": rate, "n_epochs": 2,
-                               "duration": duration,
-                               "profile": prof}))
-        goodput = SweepRunner(lf_epochs_trial).run(
-            grid, lambda cell, outs:
-            results_of(outs)[0])[0]["goodput_fraction"]
-    else:
-        result = run_lf_epochs(empirical_n_tags, rate, n_epochs=2,
-                               epoch_duration_s=duration, profile=prof,
-                               rng=make_rng(rng))
-        goodput = result.goodput_fraction
+    grid = SweepGrid()
+    grid.add_cell(
+        {"rate_x": empirical_fraction},
+        TrialSpec(payload={"n_tags": empirical_n_tags, "rate": rate,
+                           "n_epochs": 2, "duration": duration,
+                           "profile": prof}))
+    goodput = SweepRunner(lf_epochs_trial, seed=seed).run(
+        grid, lambda cell, outs:
+        results_of(outs)[0])[0]["goodput_fraction"]
     rows.append({
         "rate_x": empirical_fraction,
         "samples_per_bit": prof.samples_per_bit(rate),

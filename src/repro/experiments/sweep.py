@@ -13,12 +13,16 @@ keeping results bit-identical for any worker count.
 
 Determinism contract
 --------------------
-A trial that carries an explicit ``seed`` keeps it verbatim (this is
-how refit experiments reproduce their serial ancestors' RNG streams
-exactly).  A trial without one gets a :class:`numpy.random.SeedSequence`
-spawned from ``(runner seed, cell index, trial index)``, so a cell's
-randomness never depends on how many trials earlier cells scheduled —
-grids can grow axes without reshuffling existing cells.
+A trial without a ``seed`` gets a :class:`numpy.random.SeedSequence`
+keyed by ``(runner seed, cell index, trial index)``, so a cell's
+randomness never depends on how many trials the other cells schedule
+or on which worker runs it.  Cells are keyed by position: appending
+cells (or trials to the last cell) leaves every existing cell's
+randomness alone, but inserting or reordering cells reseeds every cell
+after the change.  A trial that carries an explicit ``seed`` keeps it
+verbatim; sweeps pin one (a :func:`~repro.utils.rng.key_seed` value)
+only where several trials must see the same capture, such as decoder
+variants scored side by side.
 
 The runner folds cells *as they complete* (the engine streams outcomes
 in submission order), so a long sweep's rows materialize incrementally

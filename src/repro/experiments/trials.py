@@ -9,10 +9,11 @@ returns plain dicts/tuples (derived data only — never views of an
 engine-transported trace).
 
 The determinism story: a trial's entire randomness comes from ``rng``
-(seeded explicitly by the calling experiment for parity with its
-serial ancestor) plus whatever pinned entropy rides in the payload's
-:class:`~repro.experiments.scenario.ScenarioSpec` (``coefficients``,
-``population_seeds``).
+(seeded by the sweep runner from the experiment's root and the trial's
+position, or pinned by the experiment when several trials must share
+one capture) plus whatever entropy rides in the payload's
+:class:`~repro.experiments.scenario.ScenarioSpec` (its ``seed``, and
+``coefficients`` when pinned).
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ def scenario_decode_trial(trace, payload: Dict[str, Any], rng,
                           config) -> Dict[str, Any]:
     """Render one scenario epoch, decode it fresh, score vs truth.
 
-    Payload keys: ``spec`` (a fully-pinned ScenarioSpec), ``profile``,
+    Payload keys: ``spec`` (a self-seeding ScenarioSpec), ``profile``,
     ``decoder_config``, and optionally ``duration`` / ``epoch_index``.
-    ``rng`` seeds the decoder (the capture's entropy is pinned in the
-    spec).
+    ``rng`` seeds the decoder (the capture's entropy is the spec's
+    seed).
     """
     from ..analysis.throughput import score_epoch
     from ..core.pipeline import LFDecoder

@@ -345,8 +345,9 @@ def impair_capture(capture: EpochCapture,
 
 
 #: The candidate impairments :func:`random_cocktail` samples from, each
-#: paired with its inclusion probability.  Parameters are drawn per
-#: cocktail so two cocktails with the same ingredient still differ.
+#: paired with its inclusion probability: the flat-channel faults, then
+#: the frequency-selective ones.  Parameters are drawn per cocktail so
+#: two cocktails with the same ingredient still differ.
 _COCKTAIL_MENU = (
     ("dropout", 0.5),
     ("nonfinite", 0.5),
@@ -355,12 +356,6 @@ _COCKTAIL_MENU = (
     ("phase_jump", 0.3),
     ("truncate", 0.25),
     ("interferer", 0.4),
-)
-
-#: Frequency-selective additions, kept in a separate tuple appended
-#: *after* the flat menu so a seed's flat-ingredient draws are a
-#: stable prefix — old seeds keep their old cocktails' flat part.
-_SELECTIVE_MENU = (
     ("multipath", 0.35),
     ("mobility", 0.3),
     ("swept", 0.3),
@@ -368,23 +363,17 @@ _SELECTIVE_MENU = (
 
 
 def random_cocktail(rng: SeedLike = None,
-                    max_run_samples: int = 400,
-                    frequency_selective: bool = True
-                    ) -> List[Impairment]:
+                    max_run_samples: int = 400) -> List[Impairment]:
     """A randomized impairment cocktail for chaos testing.
 
     Draws a subset of the impairment menu with randomized parameters.
     The same seed always produces the same cocktail; an empty draw is
     re-rolled into a single dropout so every cocktail perturbs the
-    trace at least once.  ``frequency_selective=False`` restricts the
-    draw to the original flat-channel menu (whose draws are a stable
-    prefix of the full menu's for any seed).
+    trace at least once.
     """
     gen = make_rng(rng)
-    menu = _COCKTAIL_MENU + (_SELECTIVE_MENU if frequency_selective
-                             else ())
     cocktail: List[Impairment] = []
-    for name, probability in menu:
+    for name, probability in _COCKTAIL_MENU:
         if gen.random() >= probability:
             continue
         if name == "dropout":

@@ -8,7 +8,7 @@ from .dsp import (
     nrz_levels_from_bits,
     bits_from_levels,
 )
-from .rng import make_rng, spawn_rngs, spawn_seed_sequences
+from .rng import key_seed, make_rng, spawn_seed_sequences
 from .timing import StageTimer, merge_timings
 from .stats import (
     Gaussian2D,
@@ -25,7 +25,7 @@ __all__ = [
     "nrz_levels_from_bits",
     "bits_from_levels",
     "make_rng",
-    "spawn_rngs",
+    "key_seed",
     "spawn_seed_sequences",
     "StageTimer",
     "merge_timings",

@@ -2,12 +2,14 @@
 
 Every stochastic component in the simulator accepts either a seed or a
 ``numpy.random.Generator``.  Centralizing the conversion here keeps all
-experiments reproducible from a single integer seed.
+experiments reproducible from a single integer seed: a sweep derives
+the seed of each of its cells and trials from that root by key
+(:func:`key_seed`), never by drawing from a shared generator.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, List, Union
 
 import numpy as np
 
@@ -19,6 +21,20 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def key_seed(root: int, *key: int) -> int:
+    """The integer seed of the cell or trial at ``key`` under ``root``.
+
+    ``SeedSequence(root, spawn_key=key)`` mixes the key into the root's
+    entropy, so a seed depends only on the root and its own key: cells
+    appended to a grid, or trials added after it, never move the seeds
+    of the ones already there.  Keys nest, so a trial can key its own
+    sub-streams off its cell's seed (``key_seed(key_seed(root, i), k)``).
+    """
+    state = np.random.SeedSequence(
+        entropy=root, spawn_key=tuple(key)).generate_state(1)[0]
+    return int(state)
 
 
 def spawn_seed_sequences(seed: SeedLike,
@@ -55,17 +71,3 @@ def iter_spawn_seed_sequences(seed: SeedLike
         root = np.random.SeedSequence(seed)
     while True:
         yield root.spawn(1)[0]
-
-
-def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
-    """Derive ``n`` independent child generators from one seed.
-
-    Used to give each simulated tag its own stream so adding or removing
-    a tag does not perturb the randomness of the others.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    root = make_rng(seed)
-    return [np.random.default_rng(s) for s in root.bit_generator.seed_seq.spawn(n)] \
-        if hasattr(root.bit_generator, "seed_seq") and root.bit_generator.seed_seq is not None \
-        else [np.random.default_rng(root.integers(0, 2**63)) for _ in range(n)]

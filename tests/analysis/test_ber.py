@@ -12,7 +12,7 @@ class TestBerSweep:
     def test_ask_monotone_waterfall(self):
         points = ber_sweep([4.0, 8.0, 12.0], decoder="ask",
                            n_bits=200, n_trials=2,
-                           profile=SimulationProfile.fast(), rng=0)
+                           profile=SimulationProfile.fast(), seed=0)
         bers = [p.ber for p in points]
         assert bers[0] > bers[-1]
         assert bers[-1] < 0.05
@@ -22,16 +22,16 @@ class TestBerSweep:
         profile = SimulationProfile.fast()
         snrs = [5.0, 9.0]
         lf = ber_sweep(snrs, decoder="lf", n_bits=300, n_trials=2,
-                       profile=profile, rng=1)
+                       profile=profile, seed=1)
         ask = ber_sweep(snrs, decoder="ask", n_bits=300, n_trials=2,
-                        profile=profile, rng=1)
+                        profile=profile, seed=1)
         for lf_p, ask_p in zip(lf, ask):
             assert lf_p.ber >= ask_p.ber * 0.8
 
     def test_high_snr_near_zero(self):
         points = ber_sweep([18.0], decoder="lf", n_bits=200,
                            n_trials=2,
-                           profile=SimulationProfile.fast(), rng=2)
+                           profile=SimulationProfile.fast(), seed=2)
         assert points[0].ber < 0.02
 
     def test_genie_decode_clean(self):

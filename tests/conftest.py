@@ -8,11 +8,14 @@ suite stays quick while exercising the identical decoder code paths.
 from __future__ import annotations
 
 import os
+from multiprocessing import resource_tracker
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import LFDecoder, LFDecoderConfig
+from repro.core.ring import ChunkRing
 from repro.phy.channel import ChannelModel, random_coefficients
 from repro.reader.simulator import NetworkSimulator
 from repro.tags.lf_tag import LFTag
@@ -98,3 +101,47 @@ def four_tag_capture(fast_profile):
     """A four-tag epoch (usually collision-free at these seeds)."""
     sim = build_network(4, fast_profile, seed=5)
     return sim.run_epoch(0.01)
+
+
+class ShmMade:
+    """The ``/dev/shm`` entries one test made, named where they are made.
+
+    Every ring block is recorded as its :class:`ChunkRing` creates it,
+    and every named semaphore as ``multiprocessing`` registers it, so a
+    hygiene check sees only this test's entries, never those of another
+    process sharing the host's ``/dev/shm``.
+    """
+
+    DIR = Path("/dev/shm")
+
+    def __init__(self) -> None:
+        self.names: set = set()
+
+    def left(self) -> set:
+        """The recorded entries still present."""
+        return {name for name in self.names if (self.DIR / name).exists()}
+
+    def rings_left(self) -> set:
+        """The recorded ring blocks still present."""
+        return {name for name in self.left() if name.startswith("psm_")}
+
+
+@pytest.fixture
+def shm_made(monkeypatch) -> ShmMade:
+    made = ShmMade()
+    ring_init = ChunkRing.__init__
+    register = resource_tracker.register
+
+    def recording_ring_init(ring, *args, **kwargs):
+        ring_init(ring, *args, **kwargs)
+        if ring.shm_name is not None:
+            made.names.add(ring.shm_name.lstrip("/"))
+
+    def recording_register(name, rtype):
+        if rtype == "semaphore":
+            made.names.add("sem." + name.lstrip("/"))
+        register(name, rtype)
+
+    monkeypatch.setattr(ChunkRing, "__init__", recording_ring_init)
+    monkeypatch.setattr(resource_tracker, "register", recording_register)
+    return made

@@ -1,10 +1,13 @@
 """Tests of the parallel batch-decode engine."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import ring as ring_module
-from repro.core.engine import BatchDecoder, _decode_task
+from repro.core.engine import BatchDecoder, TrialSpec, _decode_task
 from repro.core.pipeline import LFDecoder, LFDecoderConfig
 from repro.errors import ConfigurationError
 from repro.phy.channel import ChannelModel, random_coefficients
@@ -154,6 +157,34 @@ def test_iter_decode_streams_lazily_from_generator(traces, config):
     rest = list(iterator)
     assert [r.epoch_index for r in rest] == [1, 2, 3, 4, 5]
     assert len(pulled) == len(stream)
+
+
+def slow_head(trace, payload, rng, config):
+    """A trial whose first input takes far longer than the rest; top
+    level, so the engine's children can import it."""
+    if payload == 0:
+        time.sleep(1.0)
+    return payload
+
+
+def test_slow_head_task_bounds_the_input_pulled_ahead():
+    """While the oldest task runs, the engine pulls at most two inputs
+    per worker, and once it yields, the outcomes keep coming in order
+    (an endless input never runs out, so the call must not end)."""
+    pulled = []
+
+    def endless():
+        for i in itertools.count():
+            pulled.append(i)
+            yield TrialSpec(payload=i)
+
+    with BatchDecoder(seed=0, max_workers=2) as engine:
+        outcomes = engine.iter_trials(slow_head, endless())
+        assert next(outcomes).result == 0
+        assert len(pulled) <= 2 * engine.max_workers
+        assert [o.result for o in itertools.islice(outcomes, 11)] \
+            == list(range(1, 12))
+        outcomes.close()
 
 
 def test_empty_batch(config):

@@ -10,11 +10,13 @@ replaced, never reused, and a child only ever maps its engine's live
 ring.
 
 Everything is read from ``/proc``: a child is an OS-level child of the
-test process, a ring mapping is a ``psm_`` line in its ``maps``.
+test process, a ring mapping is a ``psm_`` line in its ``maps``.  A
+ring's block is checked under ``/dev/shm`` by the name its ring was
+created with (the ``shm_made`` fixture), so other processes' blocks
+never count.
 """
 
 import gc
-import glob
 import os
 import sys
 import types
@@ -55,11 +57,12 @@ def traces(fast_profile):
 
 
 @pytest.fixture
-def before():
-    """This process's children and /dev/shm blocks before the test
-    (with the long-lived resource tracker already among them)."""
+def before(shm_made):
+    """This process's children before the test (with the long-lived
+    resource tracker already among them), and the recorder of the
+    /dev/shm blocks the test makes."""
     resource_tracker.ensure_running()
-    return _child_pids(), _shm_blocks()
+    return _child_pids(), shm_made
 
 
 def _child_pids() -> set:
@@ -71,10 +74,6 @@ def _child_pids() -> set:
         except OSError:  # thread exited mid-scan
             continue
     return pids
-
-
-def _shm_blocks() -> set:
-    return set(glob.glob("/dev/shm/psm_*"))
 
 
 def _peak_mb(pid: int) -> float:
@@ -142,7 +141,7 @@ def test_nothing_outlives_the_engine(ending, config, traces, before):
             del engine
             gc.collect()
     assert _child_pids() == before[0]
-    assert _shm_blocks() == before[1]
+    assert not before[1].rings_left()
 
 
 @pytest.mark.parametrize("fault", ["crash_at", "hang_at"])
@@ -178,7 +177,7 @@ def test_child_that_cannot_boot_raises_in_the_caller(config, traces,
     assert engine._children.ring.live_frames == 0
     engine.close()
     assert _child_pids() == before[0]
-    assert _shm_blocks() == before[1]
+    assert not before[1].rings_left()
 
 
 def test_trial_the_children_cannot_import_raises_once(config, traces,
@@ -208,7 +207,7 @@ def test_trial_the_children_cannot_import_raises_once(config, traces,
     assert engine._children.ring.live_frames == 0
     engine.close()
     assert _child_pids() == before[0]
-    assert _shm_blocks() == before[1]
+    assert not before[1].rings_left()
 
 
 def test_close_during_a_call_lets_it_finish_and_leaves_nothing(
@@ -222,10 +221,10 @@ def test_close_during_a_call_lets_it_finish_and_leaves_nothing(
     calls = engine.iter_decode(traces * 2)
     first = [next(calls)]
     engine.close()
-    assert _shm_blocks() == before[1]
+    assert not before[1].rings_left()
     results = first + list(calls)
     assert _child_pids() == before[0]
-    assert _shm_blocks() == before[1]
+    assert not before[1].rings_left()
     assert [[s.bits.tobytes() for s in r.streams] for r in results] \
         == [[s.bits.tobytes() for s in r.streams] for r in serial]
     again = engine.decode_epochs(traces)
@@ -234,7 +233,7 @@ def test_close_during_a_call_lets_it_finish_and_leaves_nothing(
     assert len(_child_pids() - before[0]) == 2
     engine.close()
     assert _child_pids() == before[0]
-    assert _shm_blocks() == before[1]
+    assert not before[1].rings_left()
 
 
 def test_children_map_only_their_engines_live_ring(config, traces,
@@ -251,5 +250,5 @@ def test_children_map_only_their_engines_live_ring(config, traces,
         rings.append(ring)
         engine.close()  # a closed engine starts over on its next call
         assert _child_pids() == before[0]
-        assert _shm_blocks() == before[1]
+        assert not before[1].rings_left()
     assert rings[0] != rings[1]

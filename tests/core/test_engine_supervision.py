@@ -7,7 +7,6 @@ engine sends its trial function to its children with every task, by
 reference, so every spawned child imports the sabotage and runs it.
 """
 
-import glob
 import os
 import subprocess
 import sys
@@ -179,32 +178,27 @@ class TestOutcomeStatuses:
         assert outcome.result.trace_health.verdict == "degraded"
 
 
-def _shm_blocks():
-    return set(glob.glob("/dev/shm/psm_*"))
-
-
 class TestSharedMemoryHygiene:
     """The ring outlives a call but not the engine, and a call that ends
     early or loses a child leaves no frame live in it."""
 
-    def test_abandoned_iteration_leaks_no_blocks(self, config, traces):
-        before = _shm_blocks()
+    def test_abandoned_iteration_leaks_no_blocks(self, config, traces,
+                                                 shm_made):
         with BatchDecoder(config=config, seed=0, max_workers=2) as engine:
             iterator = engine.iter_decode(traces)
             next(iterator)
             iterator.close()  # consumer walks away mid-batch
             assert engine._children.ring.live_frames == 0
-        assert _shm_blocks() == before
+        assert not shm_made.rings_left()
 
     def test_crash_path_leaks_no_blocks(self, config, traces,
-                                        monkeypatch):
+                                        monkeypatch, shm_made):
         monkeypatch.setattr(engine_module, "_decode_task",
                             partial(sabotage.crash_at, 2))
-        before = _shm_blocks()
         with BatchDecoder(config=config, seed=0, max_workers=2) as engine:
             engine.decode_outcomes(traces)
             assert engine._children.ring.live_frames == 0
-        assert _shm_blocks() == before
+        assert not shm_made.rings_left()
 
 
 class TestExactBlame:
@@ -251,10 +245,11 @@ class TestNothingOutlivesABatch:
     @pytest.mark.parametrize("ending",
                              ["finished", "abandoned", "crashed", "hung"])
     def test_no_child_or_shm_block_survives(self, ending, config, traces,
-                                            monkeypatch, tmp_path):
+                                            monkeypatch, tmp_path,
+                                            shm_made):
         from multiprocessing import resource_tracker
         resource_tracker.ensure_running()  # a long-lived helper, not ours
-        pids_before, shm_before = _child_pids(), _shm_blocks()
+        pids_before = _child_pids()
         lost_pid = tmp_path / "lost.pid"
         if ending == "crashed":
             monkeypatch.setattr(engine_module, "_decode_task", partial(
@@ -278,7 +273,7 @@ class TestNothingOutlivesABatch:
             assert int(lost_pid.read_text()) not in kept
         engine.close()
         assert _child_pids() - pids_before == set()
-        assert _shm_blocks() == shm_before
+        assert not shm_made.rings_left()
 
 
 _LONE_INPUT = textwrap.dedent("""

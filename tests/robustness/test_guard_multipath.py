@@ -79,7 +79,7 @@ def test_guarded_decode_confines_multipath_cocktails(
     """Property: impair → guard → decode never raises, truth intact."""
     sim = build_network(3, fast_profile, seed=seed)
     capture = sim.run_epoch(0.01)
-    cocktail = random_cocktail(seed, frequency_selective=True)
+    cocktail = random_cocktail(seed)
     cocktail.append(MultipathChannel(preset="room"))
     impaired = impair_capture(capture, cocktail, rng=seed)
     assert impaired.truths == capture.truths

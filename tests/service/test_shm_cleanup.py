@@ -15,7 +15,9 @@ semaphores sit in ``/dev/shm`` while the injector lives.  The chaos
 tests therefore check twice: no ring block (``psm_*``) is left while
 the service is still referenced, so shutdown itself unlinked them, and
 no entry of any kind is left once the service and the injector are
-released.
+released.  Each check looks only at the entries the test itself made,
+named where they are made (the ``shm_made`` fixture), so another
+process using ``/dev/shm`` meanwhile cannot fail it.
 """
 
 from __future__ import annotations
@@ -40,18 +42,6 @@ _SHM_DIR = Path("/dev/shm")
 def _trace(n: int = 256) -> IQTrace:
     return IQTrace(samples=np.ones(n, dtype=np.complex128),
                    sample_rate_hz=1e6)
-
-
-def _shm_entries() -> set:
-    if not _SHM_DIR.is_dir():
-        return set()
-    return {p.name for p in _SHM_DIR.iterdir()}
-
-
-def _ring_blocks(entries: set) -> set:
-    """The shared-memory blocks among ``/dev/shm`` entries (shard
-    rings), as opposed to the semaphores of chaos counters."""
-    return {name for name in entries if name.startswith("psm_")}
 
 
 class _KillNthDecoder:
@@ -116,11 +106,10 @@ def test_killed_worker_retires_its_frame_and_reports_failure():
 
 @pytest.mark.skipif(not _SHM_DIR.is_dir(),
                     reason="no /dev/shm on this platform")
-def test_no_shm_segments_leak_after_worker_deaths():
-    before = _shm_entries()
+def test_no_shm_segments_leak_after_worker_deaths(shm_made):
     decoder, service, results, rings, escapes = _run_kill_service(
         10, kill_calls={1, 4, 7})
-    leaked = _shm_entries() - before
+    leaked = shm_made.left()
     assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
     stats = service.snapshot()
     assert stats.submitted == stats.decoded + stats.failed + stats.shed
@@ -128,8 +117,7 @@ def test_no_shm_segments_leak_after_worker_deaths():
 
 @pytest.mark.skipif(not _SHM_DIR.is_dir(),
                     reason="no /dev/shm on this platform")
-def test_chaos_kill_cocktail_leaves_no_shm_behind():
-    before = _shm_entries()
+def test_chaos_kill_cocktail_leaves_no_shm_behind(shm_made):
     base = ServiceConfig(n_shards=2, queue_depth=4,
                          overflow=SHED_OLDEST,
                          executor="thread",
@@ -151,10 +139,10 @@ def test_chaos_kill_cocktail_leaves_no_shm_behind():
         asyncio.run(run())
     assert injector.counts()["kill"] > 0
     assert escapes.unexpected == []
-    assert not _ring_blocks(_shm_entries() - before)
+    assert not shm_made.rings_left()
     del service, injector, config, escapes
     gc.collect()
-    leaked = _shm_entries() - before
+    leaked = shm_made.left()
     assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
 
 
@@ -194,11 +182,11 @@ def _run_process_chaos(n_chunks: int, chaos: ChaosConfig) -> tuple:
 
 @pytest.mark.skipif(not _SHM_DIR.is_dir(),
                     reason="no /dev/shm on this platform")
-def test_killed_child_retires_in_flight_frame_without_leaking_slot():
+def test_killed_child_retires_in_flight_frame_without_leaking_slot(
+        shm_made):
     """A chaos kill takes down a real child process mid-frame; the
     parent must retire the frame's ring slot, deliver the failed
     verdict, respawn the child, and keep accounting exact."""
-    before = _shm_entries()
     service, results, injector, rings = _run_process_chaos(
         30, ChaosConfig(kill_rate=0.3, seed=11))
     assert injector.counts()["kill"] > 0
@@ -217,30 +205,29 @@ def test_killed_child_retires_in_flight_frame_without_leaking_slot():
     # The parent respawned a child per kill (exposed as
     # worker_process respawns in the shared registry).
     assert 'kind="worker_process"' in service.render_metrics()
-    assert not _ring_blocks(_shm_entries() - before)
+    assert not shm_made.rings_left()
     del service, injector
     gc.collect()
-    leaked = _shm_entries() - before
+    leaked = shm_made.left()
     assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
 
 
 @pytest.mark.skipif(not _SHM_DIR.is_dir(),
                     reason="no /dev/shm on this platform")
-def test_process_executor_reaps_children_and_shm_on_shutdown():
+def test_process_executor_reaps_children_and_shm_on_shutdown(shm_made):
     """After a clean stop no child process and no /dev/shm entry of
     the service survives."""
     import multiprocessing as mp
 
-    before = _shm_entries()
     children_before = {p.pid for p in mp.active_children()}
     service, results, injector, _ = _run_process_chaos(
         12, ChaosConfig(crash_rate=0.2, corrupt_rate=0.2, seed=5))
     stats = service.snapshot()
     assert stats.submitted == stats.decoded + stats.failed + stats.shed
-    assert not _ring_blocks(_shm_entries() - before)
+    assert not shm_made.rings_left()
     del service, injector
     gc.collect()
-    leaked = _shm_entries() - before
+    leaked = shm_made.left()
     assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
     orphans = {p.pid for p in mp.active_children()} - children_before
     assert not orphans, f"orphaned shard children: {orphans}"
